@@ -7,32 +7,4 @@ equation, optionally coupled to a Cattaneo heat flux.  The Timoshenko
 limit (zero curvature) gets a dedicated characteristic-equation toolbox.
 """
 
-from .kernel import KernelSpec, evaluate, total_mass, laplace, validate_hypotheses
-from .model import (
-    PhysicalParams,
-    BoundaryCondition,
-    Regime,
-    RegimeReport,
-    wave_speeds,
-    equal_speed_condition,
-    stability_number,
-    classify_regime,
-)
-
-__all__ = [
-    "KernelSpec",
-    "evaluate",
-    "total_mass",
-    "laplace",
-    "validate_hypotheses",
-    "PhysicalParams",
-    "BoundaryCondition",
-    "Regime",
-    "RegimeReport",
-    "wave_speeds",
-    "equal_speed_condition",
-    "stability_number",
-    "classify_regime",
-]
-
 __version__ = "0.1.0"

@@ -206,37 +206,6 @@ class RootResult:
     basin_escape: bool
 
 
-def refine_root(fun, seed: complex, rel_tol: float = 1e-9, max_iter: int = 50) -> RootResult:
-    """Newton on a black-box analytic function with FD derivative.
-
-    Central difference along the real direction with step
-    1e-6 (1 + |lambda|); analyticity makes that a full complex
-    derivative.  Convergence is |f| <= rel_tol * max(1, |f(seed)|).
-    """
-    lam = complex(seed)
-    f_seed = abs(fun(lam))
-    target = rel_tol * max(1.0, f_seed)
-    it = 0
-    for it in range(1, max_iter + 1):
-        fc = fun(lam)
-        if abs(fc) <= target:
-            return RootResult(lam, abs(fc) / max(1.0, f_seed), it - 1, True, abs(lam - seed) > 1.0)
-        eps = 1e-6 * (1.0 + abs(lam))
-        fp = fun(lam + eps)
-        fm = fun(lam - eps)
-        deriv = (fp - fm) / (2.0 * eps)
-        if deriv == 0:
-            break
-        step = -fc / deriv
-        lam = lam + step
-        if abs(step) <= 1e-14 * (1.0 + abs(lam)):
-            fc = fun(lam)
-            done = abs(fc) <= target
-            return RootResult(lam, abs(fc) / max(1.0, f_seed), it, done, abs(lam - seed) > 1.0)
-    fc = fun(lam)
-    return RootResult(lam, abs(fc) / max(1.0, f_seed), it, abs(fc) <= target, abs(lam - seed) > 1.0)
-
-
 def refine_char_root(
     params: PhysicalParams,
     kernel: KernelSpec,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .kernel import KernelSpec, evaluate, total_mass, validate_hypotheses
+from .kernel import KernelSpec, evaluate, total_mass, truncation_length, validate_hypotheses
 from .model import BoundaryCondition, PhysicalParams
 
 # Largest tail ratio g(S_max)/g(0) a memory grid may carry.
@@ -97,15 +97,13 @@ def build_memory_grid(kernel: KernelSpec, ns: int = 32, trunc_tol: float = 1e-8)
     """
     if ns < 8:
         raise ValueError(f"need at least 8 history intervals, got ns = {ns}")
-    if not (0.0 < trunc_tol < 1.0):
-        raise ValueError(f"truncation tolerance must be in (0, 1), got {trunc_tol}")
+    s_max = truncation_length(kernel, trunc_tol)
     if trunc_tol > MAX_TRUNC_TOL:
         raise ValueError(
             f"truncation tolerance {trunc_tol} too coarse; the kernel tail "
             f"g(S_max)/g(0) must not exceed {MAX_TRUNC_TOL}"
         )
     ns = int(ns)
-    s_max = float(np.log(1.0 / trunc_tol) / kernel.c)
     ds = s_max / ns
     s = np.linspace(0.0, s_max, ns + 1)
 
@@ -204,7 +202,6 @@ class Generator:
     n_eta: int
     slice_weights: np.ndarray          # W_k, k = 1..ns (empty when a = 0)
     slice_energy: sp.csr_matrix | None  # per-slice Gram of the memory term
-    eta_grad: sp.csr_matrix | None      # maps one slice to midpoint gradients
 
     @property
     def dim(self) -> int:
@@ -313,7 +310,6 @@ def _assemble(params, kernel, bc, grid, mgrid, include_w):
             eta_rep = "gradient"
             n_eta = nx + 1
             slice_energy = sp.diags(m_mid).tocsr()
-            eta_grad = sp.identity(n_eta, format="csr")
             # force of one unit-weight slice on the shear velocity
             force_one = (-sp.diags(1.0 / (p.rho2 * masses["psi"])) @ (g_psi.T @ sp.diags(m_mid))).tocsr()
             inject = g_psi  # d/dt slice picks up grad of psi_t
@@ -321,7 +317,6 @@ def _assemble(params, kernel, bc, grid, mgrid, include_w):
             eta_rep = "nodal"
             n_eta = n_of["psi"]
             slice_energy = (g_psi.T @ sp.diags(m_mid) @ g_psi).tocsr()
-            eta_grad = g_psi
             force_one = (-sp.diags(1.0 / (p.rho2 * masses["psi"])) @ slice_energy).tocsr()
             inject = sp.identity(n_eta, format="csr")
         transport = sp.diags(
@@ -336,7 +331,6 @@ def _assemble(params, kernel, bc, grid, mgrid, include_w):
         eta_rep = "nodal" if not bc.psi_neumann else "gradient"
         n_eta = 0
         slice_energy = None
-        eta_grad = None
 
     # --- thermal block ---
     thermal = p.thermal
@@ -441,7 +435,6 @@ def _assemble(params, kernel, bc, grid, mgrid, include_w):
         n_eta=n_eta,
         slice_weights=np.asarray(w_slices, dtype=float),
         slice_energy=slice_energy,
-        eta_grad=eta_grad,
     )
 
 
@@ -486,43 +479,6 @@ def dissipation_rates(gen: Generator, u: np.ndarray) -> tuple[float, float]:
         q = u[gen.layout["q"]]
         heat = -gen.params.beta * gen.grid.h * float(np.real(np.vdot(q, q)))
     return mem, heat
-
-
-def energy_norm_bounds(
-    params: PhysicalParams, kernel: KernelSpec, grid: SpatialGrid
-) -> tuple[float, float]:
-    """Equivalence constants between the coupled strain norm and the flat one.
-
-    Returns (k0, k0p) with k0 ||u||_flat <= ||u||_strain <= k0p ||u||_flat
-    over position vectors, where the flat norm stacks the uncoupled
-    gradient seminorms of the three fields.  Elastic Dirichlet variant
-    only; both Gram matrices are then definite and the constants are the
-    extreme generalized eigenvalues.
-    """
-    from scipy.linalg import block_diag, eigh
-
-    if params.thermal:
-        raise ValueError("norm equivalence constants are computed for the elastic variant")
-    mgrid = build_memory_grid(kernel, ns=8, trunc_tol=1e-8)
-    gen = assemble_generator(params, kernel, BoundaryCondition.DDD_ELASTIC, grid, mgrid)
-    n_pos = gen.layout["dphi"].start  # positions come first
-    k_pos = gen.B[:n_pos, :n_pos].toarray()
-
-    g_, _, _ = _ops_dirichlet(grid.nx, grid.h)
-    lap = (g_.T @ sp.diags(np.full(grid.nx + 1, grid.h)) @ g_).toarray()
-    flat = block_diag(lap, lap, lap)
-    vals = eigh(k_pos, flat, eigvals_only=True)
-    return float(np.sqrt(max(vals[0], 0.0))), float(np.sqrt(vals[-1]))
-
-
-def export_matrix(mat, path) -> None:
-    """Dump a sparse matrix as 'row col value' triplets, row-major."""
-    coo = sp.coo_matrix(mat)
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        fh.write(f"# shape {coo.shape[0]} {coo.shape[1]} nnz {coo.nnz}\n")
-        for i in order:
-            fh.write(f"{coo.row[i]} {coo.col[i]} {coo.data[i]:.12e}\n")
 
 
 def coordinates(gen: Generator) -> dict[str, np.ndarray]:

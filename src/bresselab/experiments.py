@@ -10,6 +10,7 @@ seeded, so reruns reproduce the artifacts byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -22,13 +23,13 @@ from .discretize import (
     assemble_timoshenko_generator,
     build_memory_grid,
     build_spatial_grid,
-    energy,
 )
 from .kernel import validate_hypotheses
-from .model import Regime, classify_regime
+from .model import Regime, RegimeReport, classify_regime
 from .simulate import initial_state, simulate
 from .spectra import (
     DENSE_DIM_CAP,
+    SpectrumReport,
     abscissa_window,
     compute_spectrum,
     envelope_anchors,
@@ -72,57 +73,103 @@ class _Report:
             self.status = "uncovered"
 
 
-def _build_generator(cfg: ExperimentConfig):
-    grid = build_spatial_grid(cfg.params.length, cfg.nx)
-    mgrid = build_memory_grid(cfg.kernel, ns=cfg.ns, trunc_tol=cfg.trunc_tol)
-    gen = assemble_generator(cfg.params, cfg.kernel, cfg.bc, grid, mgrid)
-    return gen
+def _straight_elastic(cfg: ExperimentConfig) -> bool:
+    return cfg.params.timoshenko and not cfg.params.thermal
 
 
-def _initial(cfg: ExperimentConfig, gen):
-    kind = {"smooth_bump": "smooth_bump", "eigenmode": "eigenmode", "random": "random"}[cfg.ic]
-    return initial_state(gen, kind, index=cfg.ic_index, seed=cfg.seed)
+class _RunContext:
+    """What one run builds, each piece at most once and only when a runner asks.
+
+    Between sections it holds sparse generators and eigenvalue arrays,
+    never dense matrices or LU factors.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, rep: _Report) -> None:
+        self.cfg, self.rep = cfg, rep
+
+    def _build(self, make, *args):
+        """make(*args); a grid or an assembly the config cannot give is a config error."""
+        try:
+            return make(*args)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+
+    @cached_property
+    def regime_report(self) -> RegimeReport | None:
+        """Writes the classification block; None when the kernel is inadmissible."""
+        cfg, rep = self.cfg, self.rep
+        hyp = validate_hypotheses(cfg.kernel, cfg.params.k2)
+        rep.check(
+            "hypotheses",
+            "k2 - g0 > 0",
+            f"k2_tilde = {_f(hyp.k2_tilde)}, decay rate c = {_f(hyp.decay_rate)}, "
+            f"curvature bound c2 = {_f(hyp.curvature_bound)}",
+            hyp.ok,
+        )
+        if not hyp.ok:
+            return None
+        report = classify_regime(cfg.params, cfg.kernel)
+        chi = "n/a" if report.chi0 is None else _f(report.chi0)
+        rep.say(
+            f"regime: {report.regime.value} | equal_speeds={report.equal_speeds} "
+            f"k1_eq_k3={report.k1_equals_k3} chi0={chi} "
+            f"near_degenerate={report.near_degenerate}"
+        )
+        rep.say(f"guarantee: {report.guarantee}")
+        for note in report.notes:
+            rep.say(f"note: {note}")
+        if report.regime is Regime.UNCOVERED:
+            rep.uncovered("regime coverage", "coefficients fall outside every covered row")
+        return report
+
+    @cached_property
+    def grid(self):
+        return self._build(build_spatial_grid, self.cfg.params.length, self.cfg.nx)
+
+    @cached_property
+    def mgrid(self):
+        return self._build(build_memory_grid, self.cfg.kernel, self.cfg.ns, self.cfg.trunc_tol)
+
+    @cached_property
+    def generator(self):
+        cfg = self.cfg
+        return self._build(assemble_generator, cfg.params, cfg.kernel, cfg.bc, self.grid, self.mgrid)
+
+    @cached_property
+    def spectrum_generator(self):
+        """Two-field on the straight elastic beam, whose longitudinal modes decouple undamped."""
+        cfg = self.cfg
+        if not _straight_elastic(cfg):
+            return self.generator
+        return self._build(assemble_timoshenko_generator, cfg.params, cfg.kernel, self.grid, self.mgrid)
+
+    @cached_property
+    def spectrum(self) -> SpectrumReport:
+        """Dense spectrum of spectrum_generator."""
+        return compute_spectrum(self.spectrum_generator)
+
+    @cached_property
+    def generator_spectrum(self) -> SpectrumReport:
+        """Dense spectrum of the generator; not solved again when it is spectrum_generator."""
+        if _straight_elastic(self.cfg):
+            return compute_spectrum(self.generator)
+        return self.spectrum
 
 
 # =====================================================================
 # Individual experiments
 # =====================================================================
 
-def _classify_lines(cfg: ExperimentConfig, rep: _Report):
-    hyp = validate_hypotheses(cfg.kernel, cfg.params.k2)
-    rep.check(
-        "hypotheses",
-        "k2 - g0 > 0",
-        f"k2_tilde = {_f(hyp.k2_tilde)}, decay rate c = {_f(hyp.decay_rate)}, "
-        f"curvature bound c2 = {_f(hyp.curvature_bound)}",
-        hyp.ok,
-    )
-    if not hyp.ok:
-        return None
-    report = classify_regime(cfg.params, cfg.kernel)
-    chi = "n/a" if report.chi0 is None else _f(report.chi0)
-    rep.say(
-        f"regime: {report.regime.value} | equal_speeds={report.equal_speeds} "
-        f"k1_eq_k3={report.k1_equals_k3} chi0={chi} "
-        f"near_degenerate={report.near_degenerate}"
-    )
-    rep.say(f"guarantee: {report.guarantee}")
-    for note in report.notes:
-        rep.say(f"note: {note}")
-    if report.regime is Regime.UNCOVERED:
-        rep.uncovered("regime coverage", "coefficients fall outside every covered row")
-    return report
-
-
-def run_classify(cfg: ExperimentConfig, out_dir: Path, rep: _Report) -> list[Path]:
-    _classify_lines(cfg, rep)
+def run_classify(ctx: _RunContext, out_dir: Path) -> list[Path]:
+    ctx.regime_report  # first use writes the classification block
     return []
 
 
-def run_simulate(cfg: ExperimentConfig, out_dir: Path, rep: _Report) -> list[Path]:
-    report = _classify_lines(cfg, rep)
-    gen = _build_generator(cfg)
-    u0 = _initial(cfg, gen)
+def run_simulate(ctx: _RunContext, out_dir: Path) -> list[Path]:
+    cfg, rep = ctx.cfg, ctx.rep
+    report = ctx.regime_report
+    gen = ctx.generator
+    u0 = initial_state(gen, cfg.ic, index=cfg.ic_index, seed=cfg.seed)
     trace = simulate(gen, u0, T=cfg.T, dt=cfg.dt, stride=cfg.stride)
 
     epath = out_dir / "energy.csv"
@@ -207,23 +254,16 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path, rep: _Report) -> list[Pat
     return files
 
 
-def _straight_elastic(cfg: ExperimentConfig) -> bool:
-    return cfg.params.timoshenko and not cfg.params.thermal
-
-
-def run_spectrum(cfg: ExperimentConfig, out_dir: Path, rep: _Report) -> list[Path]:
-    grid = build_spatial_grid(cfg.params.length, cfg.nx)
-    mgrid = build_memory_grid(cfg.kernel, ns=cfg.ns, trunc_tol=cfg.trunc_tol)
+def run_spectrum(ctx: _RunContext, out_dir: Path) -> list[Path]:
+    cfg, rep = ctx.cfg, ctx.rep
+    gen = ctx.spectrum_generator
     if _straight_elastic(cfg):
-        gen = assemble_timoshenko_generator(cfg.params, cfg.kernel, grid, mgrid)
         rep.say("spectrum: two-field straight-beam assembly (longitudinal modes decoupled)")
-    else:
-        gen = assemble_generator(cfg.params, cfg.kernel, cfg.bc, grid, mgrid)
     if gen.dim > DENSE_DIM_CAP:
         raise ConfigError(
             f"dense spectrum needs dimension <= {DENSE_DIM_CAP}, got {gen.dim}; reduce disc.nx/disc.ns"
         )
-    report = compute_spectrum(gen)
+    report = ctx.spectrum
     tags = [""] * len(report.eigenvalues)
     if _straight_elastic(cfg):
         try:
@@ -254,9 +294,10 @@ def run_spectrum(cfg: ExperimentConfig, out_dir: Path, rep: _Report) -> list[Pat
     return [spath]
 
 
-def run_resolvent(cfg: ExperimentConfig, out_dir: Path, rep: _Report) -> list[Path]:
-    report = _classify_lines(cfg, rep)
-    gen = _build_generator(cfg)
+def run_resolvent(ctx: _RunContext, out_dir: Path) -> list[Path]:
+    cfg, rep = ctx.cfg, ctx.rep
+    report = ctx.regime_report
+    gen = ctx.generator
     cap = resolution_cap(gen)
     hi = cap if cfg.lambda_max is None else min(cfg.lambda_max, cap)
     lo = cfg.lambda_min
@@ -272,7 +313,7 @@ def run_resolvent(cfg: ExperimentConfig, out_dir: Path, rep: _Report) -> list[Pa
     # those; otherwise fall back to a uniform grid and local maxima.
     anchors = None
     if gen.dim <= DENSE_DIM_CAP:
-        anchors = envelope_anchors(compute_spectrum(gen).eigenvalues, lo, hi)
+        anchors = envelope_anchors(ctx.generator_spectrum.eigenvalues, lo, hi)
         lam = scan_frequencies(anchors, lo, hi, cfg.samples)
     else:
         lam = np.linspace(lo, hi, cfg.samples)
@@ -314,7 +355,8 @@ def run_resolvent(cfg: ExperimentConfig, out_dir: Path, rep: _Report) -> list[Pa
     return [rpath]
 
 
-def run_characteristic(cfg: ExperimentConfig, out_dir: Path, rep: _Report) -> list[Path]:
+def run_characteristic(ctx: _RunContext, out_dir: Path) -> list[Path]:
+    cfg, rep = ctx.cfg, ctx.rep
     if not _straight_elastic(cfg) or cfg.params.length != 1.0:
         raise ConfigError(
             "characteristic experiment needs the straight elastic unit-length beam "
@@ -356,14 +398,14 @@ def run_characteristic(cfg: ExperimentConfig, out_dir: Path, rep: _Report) -> li
     return files
 
 
-def run_full_report(cfg: ExperimentConfig, out_dir: Path, rep: _Report) -> list[Path]:
-    files = run_simulate(cfg, out_dir, rep)
-    files += run_spectrum(cfg, out_dir, rep)
-    files += run_resolvent(cfg, out_dir, rep)
-    if _straight_elastic(cfg) and cfg.params.length == 1.0:
-        files += run_characteristic(cfg, out_dir, rep)
+def run_full_report(ctx: _RunContext, out_dir: Path) -> list[Path]:
+    files = run_simulate(ctx, out_dir)
+    files += run_spectrum(ctx, out_dir)
+    files += run_resolvent(ctx, out_dir)
+    if _straight_elastic(ctx.cfg) and ctx.cfg.params.length == 1.0:
+        files += run_characteristic(ctx, out_dir)
     else:
-        rep.say("characteristic: skipped (needs the straight elastic unit-length beam)")
+        ctx.rep.say("characteristic: skipped (needs the straight elastic unit-length beam)")
     return files
 
 
@@ -384,7 +426,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentResult:
     rep = _Report()
     rep.say(f"config: {cfg.config_id}")
     rep.say(f"experiment: {cfg.experiment}")
-    files = _RUNNERS[cfg.experiment](cfg, out_dir, rep)
+    files = _RUNNERS[cfg.experiment](_RunContext(cfg, rep), out_dir)
     rep.say(f"status: {rep.status}")
     rpath = out_dir / "report.txt"
     rpath.write_text("\n".join(rep.lines) + "\n")

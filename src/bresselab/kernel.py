@@ -42,15 +42,6 @@ def evaluate(kernel: KernelSpec, s):
     return float(out) if arr.ndim == 0 else out
 
 
-def derivative(kernel: KernelSpec, s):
-    """g'(s) = -c g(s)."""
-    arr = np.asarray(s, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("kernel argument s must be >= 0")
-    out = -kernel.c * kernel.a * np.exp(-kernel.c * arr)
-    return float(out) if arr.ndim == 0 else out
-
-
 def total_mass(kernel: KernelSpec) -> float:
     """g0 = integral of g over [0, inf) = a / c."""
     return kernel.a / kernel.c

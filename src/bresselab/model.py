@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import KernelSpec, total_mass, validate_hypotheses
+from .kernel import KernelSpec, validate_hypotheses
 
 # Relative tolerance for "two coefficients are equal" in regime tests.
 EQUALITY_RTOL = 1e-12
@@ -270,8 +270,3 @@ def classify_regime(params: PhysicalParams, kernel: KernelSpec) -> RegimeReport:
         near_degenerate=near,
         notes=tuple(notes),
     )
-
-
-def k2_tilde(params: PhysicalParams, kernel: KernelSpec) -> float:
-    """Residual shear stiffness k2 - g0 entering the energy."""
-    return params.k2 - total_mass(kernel)

@@ -18,6 +18,7 @@ from scipy.sparse.linalg import splu
 from .discretize import (
     Generator,
     _ops_neumann,
+    _position_fields,
     coordinates,
     dissipation_rates,
     energy,
@@ -37,14 +38,12 @@ def default_dt(gen: Generator, cfl: float = 0.05) -> float:
 class Stepper:
     """Prefactored implicit-midpoint stepper u -> (I - dt/2 A)^-1 (I + dt/2 A) u."""
 
-    def __init__(self, gen: Generator, dt: float):
+    def __init__(self, A: sp.spmatrix, dt: float):
         if not (np.isfinite(dt) and dt > 0.0):
             raise ValueError(f"dt must be finite and > 0, got {dt}")
-        self.gen = gen
         self.dt = dt
-        n = gen.dim
-        eye = sp.identity(n, format="csc")
-        half = 0.5 * dt * gen.A
+        eye = sp.identity(A.shape[0], format="csc")
+        half = 0.5 * dt * A
         self._minus = (eye - half).tocsc()
         self._plus = (eye + half).tocsr()
         self._lu = splu(self._minus)
@@ -89,9 +88,7 @@ def initial_state(gen: Generator, kind: str, index: int = 1, seed: int = 0) -> n
     u = np.zeros(gen.dim)
     x = coordinates(gen)
     L = gen.grid.length
-    fields = [("phi", False), ("psi", gen.bc.psi_neumann)]
-    if gen.include_w:
-        fields.append(("w", gen.bc.w_neumann))
+    fields = _position_fields(gen.bc, gen.include_w)
 
     if kind == "smooth_bump":
         for name, neumann in fields:
@@ -239,7 +236,7 @@ def simulate(
         dt = T
     n_steps = int(np.ceil(T / dt - 1e-12))
     dt = T / n_steps  # land exactly on T
-    stepper = Stepper(gen, dt)
+    stepper = Stepper(gen.A, dt)
 
     for k in range(1, n_steps + 1):
         u = stepper.advance(u)
@@ -315,8 +312,7 @@ def collapsed_history_gap(gen: Generator, u0: np.ndarray, T: float, dt: float) -
     time T.  First order in the history resolution ds by construction.
     """
     a_red, layout_red = assemble_collapsed_generator(gen)
-    n_red = a_red.shape[0]
-    u_red = np.zeros(n_red)
+    u_red = np.zeros(a_red.shape[0])
     n_front = layout_red["m"].start
     u_red[:n_front] = u0[:n_front]
     if np.max(np.abs(np.asarray(u0[gen.layout["eta"]]))) > 0.0:
@@ -327,12 +323,9 @@ def collapsed_history_gap(gen: Generator, u0: np.ndarray, T: float, dt: float) -
     trace = simulate(gen, u0, T=T, dt=T / n_steps, stride=n_steps)
     u_full = trace.final_state
 
-    eye = sp.identity(n_red, format="csc")
-    half = 0.5 * (T / n_steps) * a_red
-    lu = splu((eye - half).tocsc())
-    plus = (eye + half).tocsr()
+    stepper = Stepper(a_red, T / n_steps)
     for _ in range(n_steps):
-        u_red = lu.solve(plus @ u_red)
+        u_red = stepper.advance(u_red)
 
     stop = gen.layout["psi"].stop
     ref = u_red[:stop]

@@ -78,10 +78,6 @@ def compute_spectrum(gen: Generator) -> SpectrumReport:
     )
 
 
-def spectral_abscissa(gen: Generator) -> float:
-    return compute_spectrum(gen).max_real_part
-
-
 def window_spectrum(
     gen: Generator,
     im_max: float,

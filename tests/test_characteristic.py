@@ -15,7 +15,6 @@ from bresselab.characteristic import (
     branch_seeds,
     char_point,
     refine_char_root,
-    refine_root,
     track_branch,
 )
 
@@ -124,18 +123,6 @@ class TestSeedsAndAsymptotes:
 
 
 class TestNewton:
-    def test_black_box_newton_on_polynomial(self):
-        res = refine_root(lambda z: z ** 2 + 1.0, complex(0.1, 0.8))
-        assert res.converged
-        assert res.root == pytest.approx(1j, abs=1e-8)
-        assert not res.basin_escape
-
-    def test_basin_escape_flagged(self):
-        # seed far from the nearest root of (z - 5)(z + 5)
-        res = refine_root(lambda z: z ** 2 - 25.0, complex(0.5, 0.5))
-        assert res.converged
-        assert res.basin_escape
-
     def test_char_root_near_seed(self):
         seed = branch_seeds(STRAIGHT, K_HALF, [12], branch=0)[0][1]
         res = refine_char_root(STRAIGHT, K_HALF, seed)

@@ -2,9 +2,15 @@
 # Config parsing, CLI exit codes, artifact reproducibility
 # =====================================================================
 
-import numpy as np
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import bresselab
 from bresselab.cli import main
 from bresselab.configio import ConfigError, parse_config
 from bresselab.experiments import run_experiment
@@ -112,6 +118,27 @@ class TestCliExitCodes:
     def test_usage_error_exits_two(self, capsys):
         assert main([]) == 2
 
+    @pytest.mark.parametrize("change", [
+        ("disc.nx = 10", "disc.nx = 2"),
+        ("disc.ns = 12", "disc.ns = 12\ndisc.trunc_tol = 1e-4"),
+        ("kernel.a = 0.5", "kernel.a = 2"),
+    ], ids=["nx", "trunc_tol", "inadmissible_kernel"])
+    def test_unbuildable_config_exits_two(self, tmp_path, capsys, change):
+        cfg = write(tmp_path, GOOD.replace(*change))
+        code = main([str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_cli_import_leaves_numpy_unloaded(self):
+        # --threads only caps the BLAS pool if numpy loads after main() sets it
+        src = str(Path(bresselab.__file__).parents[1])
+        probe = "import sys, bresselab.cli; print('numpy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "False"
+
 
 class TestArtifacts:
     def test_energy_csv_schema_and_reproducibility(self, tmp_path):
@@ -128,21 +155,36 @@ class TestArtifacts:
         assert len(first) == 4
         float(first[0])  # parses
 
-    def test_full_report_emits_all_artifacts(self, tmp_path):
+    @pytest.mark.parametrize("ell", [0, 1])
+    def test_full_report_emits_all_artifacts(self, tmp_path, ell):
         text = GOOD.replace("experiment = simulate", "experiment = full-report")
-        text = text.replace("params.ell = 1.0", "params.ell = 0")
+        text = text.replace("params.ell = 1.0", f"params.ell = {ell}")
         text = text.replace("params.k2 = 1", "params.k2 = 2")
         text += "spec.samples = 12\nspec.lambda_min = 3\nspec.lambda_max = 12\n"
         cfg = parse_config(write(tmp_path, text, name="bench.cfg"))
         result = run_experiment(cfg, tmp_path / "out")
         names = {p.name for p in result.files}
-        assert {"energy.csv", "fits.csv", "spectrum.csv", "resolvent.csv",
-                "branches.csv", "report.txt"} <= names
+        sections = ["simulate", "spectrum", "resolvent"]
+        want = {"energy.csv", "fits.csv", "spectrum.csv", "resolvent.csv", "report.txt"}
+        if ell == 0:
+            sections.append("characteristic")
+            want.add("branches.csv")
+        assert want <= names
         report = (tmp_path / "out" / "report.txt").read_text()
         assert "status:" in report
+        assert sum(line.startswith("hypotheses:") for line in report.splitlines()) == 1
         for line in report.splitlines():
             if "|" in line and ("PASS" in line or "FAIL" in line):
                 assert "predicted" in line and "measured" in line
+        # every section run on its own writes the same bytes as inside the report
+        for experiment in sections:
+            alone = run_experiment(dataclasses.replace(cfg, experiment=experiment),
+                                   tmp_path / experiment)
+            for path in alone.files:
+                if path.suffix == ".csv":
+                    assert path.read_bytes() == (tmp_path / "out" / path.name).read_bytes(), (
+                        f"{experiment}: {path.name} differs from full-report's"
+                    )
 
     def test_spectrum_reports_windowed_abscissa(self, tmp_path):
         text = GOOD.replace("experiment = simulate", "experiment = spectrum")

@@ -4,7 +4,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from bresselab.kernel import KernelSpec, total_mass
 from bresselab.model import BoundaryCondition, PhysicalParams
@@ -17,8 +16,6 @@ from bresselab.discretize import (
     coordinates,
     dissipation_rates,
     energy,
-    energy_norm_bounds,
-    export_matrix,
 )
 
 K_HALF = KernelSpec(0.5, 1.0)
@@ -181,22 +178,6 @@ class TestDissipativity:
         assert heat == 0.0
 
 
-class TestNormBounds:
-    def test_bounds_bracket_unity_and_shrink_with_k2t(self):
-        # the lower frame constant of the position form degrades as the
-        # residual shear stiffness k2 - g0 shrinks
-        lows = []
-        for a in (0.5, 0.9, 0.98):
-            kern = KernelSpec(a, 1.0)
-            p = PhysicalParams(rho1=1, rho2=1, k1=1, k2=1, k3=1, ell=1.0)
-            lo, hi = energy_norm_bounds(p, kern, build_spatial_grid(1.0, 20))
-            assert 0 < lo <= hi
-            lows.append(lo)
-        assert lows[0] > lows[1] > lows[2], (
-            f"frame lower bounds should decrease: {lows}"
-        )
-
-
 class TestLayoutAndExport:
     def test_state_layout_covers_dim(self):
         for bc in ("ddd", "dddd", "dndd", "dnnd"):
@@ -211,22 +192,6 @@ class TestLayoutAndExport:
         for name, slc in gen.layout.items():
             if name in coords:
                 assert len(coords[name]) == slc.stop - slc.start
-
-    def test_export_roundtrip(self, tmp_path):
-        gen = small_generator(nx=6, ns=8)
-        path = tmp_path / "a.txt"
-        export_matrix(gen.A, path)
-        rows, cols, vals = [], [], []
-        for line in path.read_text().splitlines():
-            if line.startswith("#"):
-                continue
-            r, c, v = line.split()
-            rows.append(int(r)); cols.append(int(c)); vals.append(float(v))
-        back = sp.coo_matrix((vals, (rows, cols)), shape=gen.A.shape).tocsr()
-        diff = back - gen.A.tocsr()
-        assert back.nnz == gen.A.nnz
-        # values are written with 12 significant digits
-        assert abs(diff).max() <= 1e-11 * abs(gen.A).max()
 
     def test_timoshenko_assembly_drops_w(self):
         p = PhysicalParams(rho1=1, rho2=1, k1=1, k2=2, k3=1)

@@ -9,7 +9,6 @@ from scipy.integrate import quad
 from bresselab.kernel import (
     KernelSpec,
     evaluate,
-    derivative,
     laplace,
     total_mass,
     truncation_length,
@@ -38,13 +37,6 @@ class TestEvaluate:
     def test_negative_lag_rejected(self):
         with pytest.raises(ValueError):
             evaluate(KernelSpec(1.0, 1.0), -0.1)
-
-    def test_derivative_matches_difference_quotient(self):
-        k = KernelSpec(0.8, 1.3)
-        s, eps = 0.6, 1e-6
-        fd = (evaluate(k, s + eps) - evaluate(k, s - eps)) / (2 * eps)
-        got = derivative(k, s)
-        assert abs(got - fd) < 1e-8, f"g'({s}) = {got} vs centered difference {fd}"
 
 
 class TestTotalMass:

@@ -11,7 +11,6 @@ from bresselab.model import (
     Regime,
     classify_regime,
     equal_speed_condition,
-    k2_tilde,
     stability_number,
     wave_speeds,
 )
@@ -168,11 +167,6 @@ class TestParamsValidation:
         assert p.timoshenko
         q = PhysicalParams(rho1=1, rho2=1, k1=1, k2=2, k3=1, ell=0.3)
         assert not q.timoshenko
-
-    def test_k2_tilde(self):
-        assert k2_tilde(
-            PhysicalParams(rho1=1, rho2=1, k1=1, k2=2, k3=1), K_HALF
-        ) == pytest.approx(1.5, abs=1e-15)
 
 
 class TestBoundaryConditions:
