@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Regime
-
 # Minimum r^2 advantage one model needs over the other to win.
 CLASSIFY_GAP = 0.02
 # Relative energy drop below which a trace counts as non-decaying.
@@ -132,17 +130,6 @@ def classify_decay(t: np.ndarray, E: np.ndarray) -> DecayVerdict:
     if fp.r2 >= fe.r2 + CLASSIFY_GAP:
         return DecayVerdict("Polynomial", fe, fp)
     return DecayVerdict("Undecided", fe, fp, note=f"r2 gap below {CLASSIFY_GAP}")
-
-
-def expected_label(regime: Regime) -> str:
-    """Trace label a covered regime should produce (or beat).
-
-    Finite-dimensional systems are exponential in the far tail, so a
-    polynomial regime passes when the measured decay is at least as
-    fast as predicted; the check for those is on the polynomial fit's
-    alpha, not on the winning label alone.
-    """
-    return "Exponential" if regime is Regime.EXPONENTIAL else "Polynomial"
 
 
 # =====================================================================

@@ -136,24 +136,6 @@ def build_memory_grid(kernel: KernelSpec, ns: int = 32, trunc_tol: float = 1e-8)
 # Per-field operators
 # =====================================================================
 
-def _ops_dirichlet(nx: int, h: float):
-    """(gradient, average, mass) for a field pinned to zero at both ends.
-
-    The field stores interior values only; the zero end values are baked
-    into the first and last midpoint rows.
-    """
-    rows, cols, gv, av = [], [], [], []
-    for m in range(nx + 1):
-        if m >= 1:
-            rows.append(m); cols.append(m - 1); gv.append(-1.0 / h); av.append(0.5)
-        if m <= nx - 1:
-            rows.append(m); cols.append(m); gv.append(1.0 / h); av.append(0.5)
-    grad = sp.csr_matrix((gv, (rows, cols)), shape=(nx + 1, nx))
-    avg = sp.csr_matrix((av, (rows, cols)), shape=(nx + 1, nx))
-    mass = np.full(nx, h)
-    return grad, avg, mass
-
-
 def _ops_neumann(nx: int, h: float):
     """(gradient, average, mass) for a field with free (derivative) ends.
 
@@ -172,6 +154,31 @@ def _ops_neumann(nx: int, h: float):
     mass = np.full(n, h)
     mass[0] = mass[-1] = 0.5 * h
     return grad, avg, mass
+
+
+def _ops_dirichlet(nx: int, h: float):
+    """(gradient, average, mass) for a field pinned to zero at both ends.
+
+    The free stencil with the end values dropped: the field stores
+    interior values only, and the zero ends vanish from the first and
+    last midpoint rows.
+    """
+    grad, avg, mass = _ops_neumann(nx, h)
+    return grad[:, 1:-1], avg[:, 1:-1], mass[1:-1]
+
+
+def _place_blocks(dim: int, blocks) -> sp.csr_matrix:
+    """The dim x dim CSR matrix holding each (row slice, column slice, block)."""
+    rows, cols, vals = [], [], []
+    for r, c, block in blocks:
+        block = sp.coo_matrix(block)
+        assert block.shape == (r.stop - r.start, c.stop - c.start)
+        rows.append(block.row + r.start)
+        cols.append(block.col + c.start)
+        vals.append(block.data)
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)
+    )
 
 
 # =====================================================================
@@ -305,16 +312,16 @@ def _assemble(params, kernel, bc, grid, mgrid, include_w):
     w_slices = mgrid.weights[1:] * evaluate(kernel, mgrid.s[1:]) if kernel.a > 0.0 else np.zeros(0)
     has_memory = w_slices.size > 0
     g_psi = grads["psi"]
+    eta_rep = "gradient" if bc.psi_neumann else "nodal"
+    n_eta, slice_energy = 0, None
     if has_memory:
         if bc.psi_neumann:
-            eta_rep = "gradient"
             n_eta = nx + 1
             slice_energy = sp.diags(m_mid).tocsr()
             # force of one unit-weight slice on the shear velocity
             force_one = (-sp.diags(1.0 / (p.rho2 * masses["psi"])) @ (g_psi.T @ sp.diags(m_mid))).tocsr()
             inject = g_psi  # d/dt slice picks up grad of psi_t
         else:
-            eta_rep = "nodal"
             n_eta = n_of["psi"]
             slice_energy = (g_psi.T @ sp.diags(m_mid) @ g_psi).tocsr()
             force_one = (-sp.diags(1.0 / (p.rho2 * masses["psi"])) @ slice_energy).tocsr()
@@ -327,16 +334,12 @@ def _assemble(params, kernel, bc, grid, mgrid, include_w):
         a_eta_vel_psi = sp.kron(np.ones((ns, 1)), inject, format="csr")
         a_vel_psi_eta = sp.kron(w_slices[np.newaxis, :], force_one, format="csr")
         b_eta = sp.kron(sp.diags(w_slices), slice_energy, format="csr")
-    else:
-        eta_rep = "nodal" if not bc.psi_neumann else "gradient"
-        n_eta = 0
-        slice_energy = None
 
     # --- thermal block ---
     thermal = p.thermal
     if thermal:
         g_th, avg_th, mass_th = ops_d  # theta is Dirichlet in every variant
-        n_th, n_q = nx, nx + 1
+        n_q = nx + 1
         inv_mass_th = sp.diags(1.0 / (p.rho3 * mass_th))
         a_th_q = (inv_mass_th @ g_th.T @ sp.diags(m_mid)).tocsr()
         a_th_vel_psi = (-p.delta * inv_mass_th @ avg_th.T @ sp.diags(m_mid) @ g_psi).tocsr()
@@ -345,80 +348,38 @@ def _assemble(params, kernel, bc, grid, mgrid, include_w):
         ).tocsr()
         a_q_th = (-1.0 / p.tau) * g_th
         a_q_q = sp.diags(np.full(n_q, -p.beta / p.tau))
-    else:
-        n_th = n_q = 0
 
     # --- state layout ---
     sizes = {name: n_of[name] for name, _ in fields}
-    order = [name for name, _ in fields] + ["d" + name for name, _ in fields]
-    for name, _ in fields:
-        sizes["d" + name] = n_of[name]
+    sizes.update({"d" + name: n_of[name] for name, _ in fields})
     if has_memory:
-        order.append("eta")
         sizes["eta"] = ns * n_eta
     if thermal:
-        order += ["theta", "q"]
-        sizes["theta"], sizes["q"] = n_th, n_q
+        sizes["theta"], sizes["q"] = nx, n_q
     layout, off = {}, 0
-    for name in order:
-        layout[name] = slice(off, off + sizes[name])
-        off += sizes[name]
+    for name, size in sizes.items():
+        layout[name] = slice(off, off + size)
+        off += size
     dim = off
 
-    # --- assemble A and B from block grids ---
-    psi_col = [name for name, _ in fields].index("psi")
-    n_blocks = {
-        "pos": n_pos,
-        "vel": n_pos,
-        "eta": ns * n_eta if has_memory else 0,
-        "th": n_th,
-        "q": n_q,
-    }
-    names = [k for k, v in n_blocks.items() if v > 0]
-
-    grid_a = {n: {m: None for m in names} for n in names}
-    grid_b = {n: {m: None for m in names} for n in names}
-
-    grid_a["pos"]["vel"] = sp.identity(n_pos, format="csr")
-    grid_a["vel"]["pos"] = f_pos
-    grid_b["pos"]["pos"] = k_pos
-    grid_b["vel"]["vel"] = sp.diags(mass_vel)
-
-    def vel_row(block, col_size):
-        """Place a psi-velocity block inside the full velocity row group."""
-        parts = []
-        for i, (name, _) in enumerate(fields):
-            if i == psi_col:
-                parts.append([block])
-            else:
-                parts.append([sp.csr_matrix((n_of[name], col_size))])
-        return sp.bmat(parts, format="csr")
-
-    def vel_col(block, row_size):
-        parts = [[None] * len(fields)]
-        parts[0] = [
-            block if i == psi_col else sp.csr_matrix((row_size, n_of[name]))
-            for i, (name, _) in enumerate(fields)
-        ]
-        return sp.bmat(parts, format="csr")
-
+    # --- place the blocks of A and B by their layout slices ---
+    pos, vel = slice(0, n_pos), slice(n_pos, 2 * n_pos)
+    dpsi = layout["dpsi"]
+    blocks_a = [(pos, vel, sp.identity(n_pos)), (vel, pos, f_pos)]
+    blocks_b = [(pos, pos, k_pos), (vel, vel, sp.diags(mass_vel))]
     if has_memory:
-        grid_a["vel"]["eta"] = vel_row(a_vel_psi_eta, ns * n_eta)
-        grid_a["eta"]["vel"] = vel_col(a_eta_vel_psi, ns * n_eta)
-        grid_a["eta"]["eta"] = a_eta_eta
-        grid_b["eta"]["eta"] = b_eta
+        eta = layout["eta"]
+        blocks_a += [(dpsi, eta, a_vel_psi_eta), (eta, dpsi, a_eta_vel_psi), (eta, eta, a_eta_eta)]
+        blocks_b.append((eta, eta, b_eta))
     if thermal:
-        grid_a["vel"]["th"] = vel_row(a_vel_psi_th, n_th)
-        grid_a["th"]["vel"] = vel_col(a_th_vel_psi, n_th)
-        grid_a["th"]["q"] = a_th_q
-        grid_a["q"]["th"] = a_q_th
-        grid_a["q"]["q"] = a_q_q
-        grid_b["th"]["th"] = sp.diags(p.rho3 * mass_th)
-        grid_b["q"]["q"] = sp.diags(p.tau * m_mid)
-
-    mat_a = sp.bmat([[grid_a[r][c] for c in names] for r in names], format="csr")
-    mat_b = sp.bmat([[grid_b[r][c] for c in names] for r in names], format="csr")
-    assert mat_a.shape == (dim, dim)
+        th, q = layout["theta"], layout["q"]
+        blocks_a += [
+            (dpsi, th, a_vel_psi_th), (th, dpsi, a_th_vel_psi),
+            (th, q, a_th_q), (q, th, a_q_th), (q, q, a_q_q),
+        ]
+        blocks_b += [(th, th, sp.diags(p.rho3 * mass_th)), (q, q, sp.diags(p.tau * m_mid))]
+    mat_a = _place_blocks(dim, blocks_a)
+    mat_b = _place_blocks(dim, blocks_b)
 
     return Generator(
         params=params,

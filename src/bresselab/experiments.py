@@ -137,11 +137,34 @@ class _RunContext:
 
     @cached_property
     def spectrum_generator(self):
-        """Two-field on the straight elastic beam, whose longitudinal modes decouple undamped."""
+        """Two-field on the straight elastic beam, whose longitudinal modes decouple undamped.
+
+        A config error when it is too big for the dense eigensolver.
+        """
         cfg = self.cfg
-        if not _straight_elastic(cfg):
-            return self.generator
-        return self._build(assemble_timoshenko_generator, cfg.params, cfg.kernel, self.grid, self.mgrid)
+        if _straight_elastic(cfg):
+            gen = self._build(assemble_timoshenko_generator, cfg.params, cfg.kernel, self.grid, self.mgrid)
+        else:
+            gen = self.generator
+        if gen.dim > DENSE_DIM_CAP:
+            raise ConfigError(
+                f"dense spectrum needs dimension <= {DENSE_DIM_CAP}, got {gen.dim}; reduce disc.nx/disc.ns"
+            )
+        return gen
+
+    @cached_property
+    def resolvent_window(self) -> tuple[float, float, float]:
+        """(lowest, highest, resolution cap) frequency of the resolvent scan; a config error when empty."""
+        cfg = self.cfg
+        cap = resolution_cap(self.generator)
+        hi = cap if cfg.lambda_max is None else min(cfg.lambda_max, cap)
+        lo = cfg.lambda_min
+        if not lo < hi:
+            raise ConfigError(
+                f"resolvent window [{lo}, {hi}] is empty (resolution cap {_f(cap)}); "
+                "refine disc.nx or lower spec.lambda_min"
+            )
+        return lo, hi, cap
 
     @cached_property
     def spectrum(self) -> SpectrumReport:
@@ -259,10 +282,6 @@ def run_spectrum(ctx: _RunContext, out_dir: Path) -> list[Path]:
     gen = ctx.spectrum_generator
     if _straight_elastic(cfg):
         rep.say("spectrum: two-field straight-beam assembly (longitudinal modes decoupled)")
-    if gen.dim > DENSE_DIM_CAP:
-        raise ConfigError(
-            f"dense spectrum needs dimension <= {DENSE_DIM_CAP}, got {gen.dim}; reduce disc.nx/disc.ns"
-        )
     report = ctx.spectrum
     tags = [""] * len(report.eigenvalues)
     if _straight_elastic(cfg):
@@ -298,14 +317,7 @@ def run_resolvent(ctx: _RunContext, out_dir: Path) -> list[Path]:
     cfg, rep = ctx.cfg, ctx.rep
     report = ctx.regime_report
     gen = ctx.generator
-    cap = resolution_cap(gen)
-    hi = cap if cfg.lambda_max is None else min(cfg.lambda_max, cap)
-    lo = cfg.lambda_min
-    if not lo < hi:
-        raise ConfigError(
-            f"resolvent window [{lo}, {hi}] is empty (resolution cap {_f(cap)}); "
-            "refine disc.nx or lower spec.lambda_min"
-        )
+    lo, hi, cap = ctx.resolvent_window
     # The envelope is only visible at peak frequencies (the peaks are
     # narrower than any affordable uniform spacing), so when the dense
     # eigensolver is affordable the samples are anchored at the least
@@ -399,6 +411,9 @@ def run_characteristic(ctx: _RunContext, out_dir: Path) -> list[Path]:
 
 
 def run_full_report(ctx: _RunContext, out_dir: Path) -> list[Path]:
+    # a config the later sections refuse fails before any section writes a file
+    ctx.spectrum_generator
+    ctx.resolvent_window
     files = run_simulate(ctx, out_dir)
     files += run_spectrum(ctx, out_dir)
     files += run_resolvent(ctx, out_dir)

@@ -131,6 +131,15 @@ _GUARANTEES = {
 }
 
 
+# (deciding condition holds, k1 = k3) -> regime; see classify_regime.
+_REGIME_TABLE = {
+    (True, True): Regime.EXPONENTIAL,
+    (False, True): Regime.POLY_ONE,
+    (False, False): Regime.POLY_HALF,
+    (True, False): Regime.UNCOVERED,
+}
+
+
 @dataclass(frozen=True)
 class RegimeReport:
     """Outcome of the coefficient classification."""
@@ -196,16 +205,13 @@ def _chi0_zero(params: PhysicalParams) -> bool:
 def classify_regime(params: PhysicalParams, kernel: KernelSpec) -> RegimeReport:
     """Predict the decay class from the coefficients.
 
-    Elastic table (keyed on equal wave speeds and k1 = k3):
-        equal speeds, k1 = k3    -> Exponential
-        unequal speeds, k1 = k3  -> PolyOne
-        unequal speeds, k1 != k3 -> PolyHalf
-        equal speeds, k1 != k3   -> Uncovered
-    Thermal table (keyed on chi0 = 0 and k1 = k3):
-        chi0 = 0, k1 = k3        -> Exponential
-        chi0 != 0, k1 = k3       -> PolyOne
-        chi0 != 0, k1 != k3      -> PolyHalf
-        chi0 = 0, k1 != k3       -> Uncovered
+    One table for both variants, keyed on a deciding condition D and
+    k1 = k3, where D is equal wave speeds for the elastic system and
+    chi0 = 0 for the thermal one:
+        D, k1 = k3          -> Exponential
+        not D, k1 = k3      -> PolyOne
+        not D, k1 != k3     -> PolyHalf
+        D, k1 != k3         -> Uncovered
 
     An inadmissible kernel (k2_tilde <= 0) is a hard error: no regime
     statement exists without the residual stiffness.
@@ -229,44 +235,21 @@ def classify_regime(params: PhysicalParams, kernel: KernelSpec) -> RegimeReport:
         near = True
         notes.append("k1 and k3 nearly equal (within 1e-6 relative)")
 
+    equal_speeds = _rel_equal(s1, s2)
+    chi0 = None
+    decider = equal_speeds
     if params.thermal:
         chi0 = stability_number(params)
-        chi_zero = _chi0_zero(params)
+        decider = _chi0_zero(params)
         if params.delta == 0.0:
             notes.append("delta = 0: heat flux decouples from the shear motion")
-        if chi_zero and k_eq:
-            regime = Regime.EXPONENTIAL
-        elif (not chi_zero) and k_eq:
-            regime = Regime.POLY_ONE
-        elif not chi_zero:
-            regime = Regime.POLY_HALF
-        else:
-            regime = Regime.UNCOVERED
-        return RegimeReport(
-            regime=regime,
-            guarantee=_GUARANTEES[regime],
-            equal_speeds=_rel_equal(s1, s2),
-            k1_equals_k3=k_eq,
-            chi0=chi0,
-            near_degenerate=near,
-            notes=tuple(notes),
-        )
-
-    sp_eq = _rel_equal(s1, s2)
-    if sp_eq and k_eq:
-        regime = Regime.EXPONENTIAL
-    elif (not sp_eq) and k_eq:
-        regime = Regime.POLY_ONE
-    elif not sp_eq:
-        regime = Regime.POLY_HALF
-    else:
-        regime = Regime.UNCOVERED
+    regime = _REGIME_TABLE[(decider, k_eq)]
     return RegimeReport(
         regime=regime,
         guarantee=_GUARANTEES[regime],
-        equal_speeds=sp_eq,
+        equal_speeds=equal_speeds,
         k1_equals_k3=k_eq,
-        chi0=None,
+        chi0=chi0,
         near_degenerate=near,
         notes=tuple(notes),
     )

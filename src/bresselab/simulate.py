@@ -17,7 +17,7 @@ from scipy.sparse.linalg import splu
 
 from .discretize import (
     Generator,
-    _ops_neumann,
+    _place_blocks,
     _position_fields,
     coordinates,
     dissipation_rates,
@@ -36,28 +36,20 @@ def default_dt(gen: Generator, cfl: float = 0.05) -> float:
 
 
 class Stepper:
-    """Prefactored implicit-midpoint stepper u -> (I - dt/2 A)^-1 (I + dt/2 A) u."""
+    """Prefactored implicit-midpoint stepper u -> (I - dt/2 A)^-1 (I + dt/2 A) u.
+
+    Since I + dt/2 A = 2 I - (I - dt/2 A), the same map is
+    u -> 2 (I - dt/2 A)^-1 u - u: one LU solve per step and no matvec.
+    """
 
     def __init__(self, A: sp.spmatrix, dt: float):
         if not (np.isfinite(dt) and dt > 0.0):
             raise ValueError(f"dt must be finite and > 0, got {dt}")
-        self.dt = dt
         eye = sp.identity(A.shape[0], format="csc")
-        half = 0.5 * dt * A
-        self._minus = (eye - half).tocsc()
-        self._plus = (eye + half).tocsr()
-        self._lu = splu(self._minus)
+        self._lu = splu((eye - 0.5 * dt * A).tocsc())
 
     def advance(self, u: np.ndarray) -> np.ndarray:
-        rhs = self._plus @ u
-        out = self._lu.solve(rhs)
-        # one pass of iterative refinement keeps the step exact to solver
-        # tolerance even on stiff memory ladders
-        resid = rhs - self._minus @ out
-        rnorm = np.linalg.norm(resid)
-        if rnorm > 1e-14 * max(1.0, np.linalg.norm(rhs)):
-            out = out + self._lu.solve(resid)
-        return out
+        return 2.0 * self._lu.solve(u) - u
 
 
 # =====================================================================
@@ -110,68 +102,6 @@ def initial_state(gen: Generator, kind: str, index: int = 1, seed: int = 0) -> n
             u[gen.layout["q"]] = rng.standard_normal(gen.sizes["q"])
     else:
         raise ValueError(f"unknown initial condition kind {kind!r}")
-    return u
-
-
-def state_from_fields(
-    gen: Generator,
-    phi=None, psi=None, w=None,
-    dphi=None, dpsi=None, dw=None,
-    eta=None, theta=None, q=None,
-) -> np.ndarray:
-    """Sample callables (or copy arrays) into a state vector.
-
-    eta is a callable (x, s) -> value; it must vanish at s = 0 (the
-    history variable is a difference of shear angles, zero by
-    definition at zero lag).  For gradient-represented memory the
-    sampled slices are differentiated onto midpoints.
-    """
-    u = np.zeros(gen.dim)
-    x = coordinates(gen)
-
-    def fill(name, spec):
-        if spec is None:
-            return
-        vals = spec(x[name]) if callable(spec) else np.asarray(spec, dtype=float)
-        if vals.shape != (gen.sizes[name],):
-            raise ValueError(f"{name}: expected shape ({gen.sizes[name]},), got {vals.shape}")
-        u[gen.layout[name]] = vals
-
-    for name, spec in (("phi", phi), ("psi", psi), ("w", w),
-                       ("dphi", dphi), ("dpsi", dpsi), ("dw", dw)):
-        if spec is not None and name not in gen.layout:
-            raise ValueError(f"field {name} is not part of this assembly")
-        fill(name, spec)
-    if theta is not None or q is not None:
-        if not gen.params.thermal:
-            raise ValueError("theta/q require the thermal variant")
-        fill("theta", theta)
-        fill("q", q)
-
-    if eta is not None:
-        if gen.ns_active == 0:
-            raise ValueError("eta given but this assembly carries no memory block")
-        if not callable(eta):
-            raise ValueError("eta must be a callable (x, s) -> value")
-        if gen.eta_rep == "gradient":
-            xs = gen.grid.nodes_neumann
-        else:
-            xs = coordinates(gen)["eta_x"]
-        at_zero = np.asarray([eta(xi, 0.0) for xi in xs], dtype=float)
-        if np.max(np.abs(at_zero)) > 1e-12:
-            raise ValueError(
-                "eta(x, s=0) must vanish: the history variable is zero at zero lag "
-                f"(max |eta(x,0)| = {np.max(np.abs(at_zero)):.3e})"
-            )
-        svals = gen.mgrid.s[1:]
-        block = np.empty((gen.ns_active, gen.n_eta))
-        grad_n = _ops_neumann(gen.grid.nx, gen.grid.h)[0] if gen.eta_rep == "gradient" else None
-        for k, sv in enumerate(svals):
-            slab = np.asarray([eta(xi, sv) for xi in xs], dtype=float)
-            # Neumann-end memory stores midpoint gradients, so sampled
-            # nodal slices get differentiated on the way in
-            block[k] = grad_n @ slab if grad_n is not None else slab
-        u[gen.layout["eta"]] = block.ravel()
     return u
 
 
@@ -274,32 +204,21 @@ def assemble_collapsed_generator(gen: Generator):
     p, kern = gen.params, gen.kernel
     g0 = kern.a / kern.c
 
-    n_pos = gen.layout["dphi"].start
-    n_vel = n_pos
-    psi_sl = gen.layout["psi"]
-    n_psi = psi_sl.stop - psi_sl.start
-    psi_off = psi_sl.start
-
-    a_full = gen.A
-    top_left = a_full[: n_pos + n_vel, : n_pos + n_vel]
+    front = slice(0, gen.layout["eta"].start)  # positions and velocities
+    dpsi = gen.layout["dpsi"]
+    n_psi = dpsi.stop - dpsi.start
+    m = slice(front.stop, front.stop + n_psi)
     # force of one unit-weight nodal slice on the shear velocity rows
-    force_one = (-sp.diags(1.0 / (p.rho2 * np.full(n_psi, gen.grid.h))) @ gen.slice_energy).tocsr()
-
-    n = n_pos + n_vel + n_psi
-    vel_force = sp.lil_matrix((n_pos + n_vel, n_psi))
-    vel_force[n_pos + psi_off : n_pos + psi_off + n_psi, :] = force_one
-    m_rows = sp.lil_matrix((n_psi, n_pos + n_vel))
-    m_rows[:, n_pos + psi_off : n_pos + psi_off + n_psi] = g0 * sp.identity(n_psi)
-    a_red = sp.bmat(
-        [
-            [top_left, vel_force],
-            [m_rows, -kern.c * sp.identity(n_psi)],
-        ],
-        format="csr",
-    )
+    force_one = -sp.diags(1.0 / (p.rho2 * np.full(n_psi, gen.grid.h))) @ gen.slice_energy
+    a_red = _place_blocks(m.stop, [
+        (front, front, gen.A[front, front]),
+        (dpsi, m, force_one),
+        (m, dpsi, g0 * sp.identity(n_psi)),
+        (m, m, -kern.c * sp.identity(n_psi)),
+    ])
     layout = dict(gen.layout)
     layout.pop("eta", None)
-    layout["m"] = slice(n_pos + n_vel, n)
+    layout["m"] = m
     return a_red, layout
 
 

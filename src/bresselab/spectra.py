@@ -81,30 +81,28 @@ def compute_spectrum(gen: Generator) -> SpectrumReport:
 def window_spectrum(
     gen: Generator,
     im_max: float,
+    shifts: list[complex],
     re_min: float = -5.0,
-    n_shifts: int = 8,
     k_per_shift: int = 40,
     im_min: float = 0.0,
-    real_shift: bool = True,
     tol: float = 0.0,
-    shifts: list[complex] | None = None,
 ) -> SpectrumReport:
     """Eigenvalues with im_min <= |Im| <= im_max by shift-inverted Arnoldi.
 
-    Deterministic: fixed shift ladder on the imaginary axis (plus one
-    real shift for overdamped modes unless real_shift is off), fixed
-    start vector.  Duplicates from overlapping windows are merged;
-    conjugates are added so the report looks like the dense one.
+    One Arnoldi run of k_per_shift eigenvalues at each given shift, from
+    a fixed start vector, so the sweep is deterministic.  A shift that
+    does not converge raises ArpackNoConvergence instead of being
+    dropped.  Duplicates from overlapping windows are merged; conjugates
+    are added so the report looks like the dense one.
 
-    Raising im_min (and dropping the real shift) keeps the sweep away
-    from the memory-transport cluster near the real axis: those
-    eigenvalues are packed thousands deep in a tiny disc, and any shift
-    whose k-th nearest eigenvalue falls inside the cluster stalls the
-    Arnoldi restarts indefinitely.  tol relaxes the ARPACK convergence
-    target from machine precision for the same reason.  Callers who
-    know where the wanted modes sit (for example from characteristic
-    root predictions) can pass an explicit shift list instead of the
-    ladder and keep k_per_shift small.
+    Shifts belong where the wanted modes sit (for example at
+    characteristic root predictions), away from the memory-transport
+    cluster near the real axis: those eigenvalues are packed thousands
+    deep in a tiny disc, and any shift whose k-th nearest eigenvalue
+    falls inside the cluster stalls the Arnoldi restarts indefinitely.
+    Raising im_min drops eigenvalues of that cluster picked up anyway;
+    tol relaxes the ARPACK convergence target from machine precision for
+    the same reason.
     """
     n = gen.dim
     # Complex cast is load-bearing: ARPACK cannot recover eigenvalues of a
@@ -112,28 +110,19 @@ def window_spectrum(
     # done in complex arithmetic (the real-OP path returns unusable zeros
     # when eigenvectors are not requested).
     a = gen.A.tocsc().astype(complex)
-    if shifts is None:
-        shifts = [complex(re_min / 4.0, s) for s in np.linspace(im_min, im_max, n_shifts)]
-        if real_shift:
-            shifts.append(complex(re_min / 2.0, 0.0))
-    else:
-        shifts = [complex(s) for s in shifts]
     v0 = np.full(n, 1.0) + 1e-3 * np.sin(np.arange(n))
     found: list[complex] = []
     for sig in shifts:
-        try:
-            vals = eigs(
-                a,
-                k=min(k_per_shift, n - 2),
-                sigma=sig,
-                which="LM",
-                v0=v0,
-                return_eigenvectors=False,
-                maxiter=3000,
-                tol=tol,
-            )
-        except Exception:
-            continue
+        vals = eigs(
+            a,
+            k=min(k_per_shift, n - 2),
+            sigma=complex(sig),
+            which="LM",
+            v0=v0,
+            return_eigenvectors=False,
+            maxiter=3000,
+            tol=tol,
+        )
         found.extend(complex(v) for v in vals)
     kept: list[complex] = []
     for v in found:

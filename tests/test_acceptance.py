@@ -312,7 +312,7 @@ def test_criterion_08_spectrum_matches_characteristic_roots(acceptance):
     roots = _strip_roots(STRAIGHT, ELASTIC_KERNEL)
     report = window_spectrum(
         gen, im_max=20.0, re_min=-0.5, k_per_shift=3, tol=1e-8,
-        im_min=0.5, real_shift=False, shifts=roots,
+        im_min=0.5, shifts=roots,
     )
     # beam modes live right of the memory-transport cluster (Re > -c/2)
     beam = [

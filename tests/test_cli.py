@@ -118,16 +118,26 @@ class TestCliExitCodes:
     def test_usage_error_exits_two(self, capsys):
         assert main([]) == 2
 
-    @pytest.mark.parametrize("change", [
-        ("disc.nx = 10", "disc.nx = 2"),
-        ("disc.ns = 12", "disc.ns = 12\ndisc.trunc_tol = 1e-4"),
-        ("kernel.a = 0.5", "kernel.a = 2"),
-    ], ids=["nx", "trunc_tol", "inadmissible_kernel"])
-    def test_unbuildable_config_exits_two(self, tmp_path, capsys, change):
-        cfg = write(tmp_path, GOOD.replace(*change))
-        code = main([str(cfg), "--out", str(tmp_path / "out")])
+    @pytest.mark.parametrize("changes", [
+        {"disc.nx = 10": "disc.nx = 2"},
+        {"disc.ns = 12": "disc.ns = 12\ndisc.trunc_tol = 1e-4"},
+        {"kernel.a = 0.5": "kernel.a = 2"},
+        {"experiment = simulate": "experiment = full-report\nspec.lambda_min = 1000"},
+        # dimension 10800, past the dense eigensolver cap
+        {"experiment = simulate": "experiment = full-report",
+         "disc.nx = 10": "disc.nx = 200", "disc.ns = 12": "disc.ns = 48"},
+    ], ids=["nx", "trunc_tol", "inadmissible_kernel", "full_report_resolvent_window",
+            "full_report_dense_cap"])
+    def test_unbuildable_config_exits_two(self, tmp_path, capsys, changes):
+        text = GOOD
+        for old, new in changes.items():
+            text = text.replace(old, new)
+        out = tmp_path / "out"
+        code = main([str(write(tmp_path, text)), "--out", str(out)])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+        # the config is refused before any section writes an artifact
+        assert list(out.glob("*")) == []
 
     def test_cli_import_leaves_numpy_unloaded(self):
         # --threads only caps the BLAS pool if numpy loads after main() sets it

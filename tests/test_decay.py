@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from bresselab.kernel import KernelSpec
-from bresselab.model import BoundaryCondition, PhysicalParams, Regime
+from bresselab.model import BoundaryCondition, PhysicalParams
 from bresselab.decay import (
     AbscissaLadder,
     abscissa_ladder,
     classify_decay,
-    expected_label,
     fit_exponential,
     fit_polynomial,
 )
@@ -90,11 +89,6 @@ class TestClassification:
         t = np.linspace(0.0, 5.0, 100)
         with pytest.raises(ValueError):
             classify_decay(t, np.exp(-t))
-
-    def test_expected_labels(self):
-        assert expected_label(Regime.EXPONENTIAL) == "Exponential"
-        assert expected_label(Regime.POLY_ONE) == "Polynomial"
-        assert expected_label(Regime.POLY_HALF) == "Polynomial"
 
 
 class TestAbscissaLadder:

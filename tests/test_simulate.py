@@ -14,7 +14,6 @@ from bresselab.simulate import (
     default_dt,
     initial_state,
     simulate,
-    state_from_fields,
 )
 
 ALL_ONES = PhysicalParams(rho1=1, rho2=1, k1=1, k2=1, k3=1, ell=1.0)
@@ -49,25 +48,6 @@ class TestInitialStates:
             initial_state(gen, "sawtooth")
         with pytest.raises(ValueError):
             initial_state(gen, "eigenmode", index=0)
-
-    def test_state_from_fields_checks(self):
-        gen = make_gen()
-        u = state_from_fields(gen, phi=lambda x: np.sin(np.pi * x))
-        assert np.allclose(u[gen.layout["phi"]],
-                           np.sin(np.pi * gen.grid.nodes_dirichlet))
-        with pytest.raises(ValueError, match="theta"):
-            state_from_fields(gen, theta=lambda x: x)
-        with pytest.raises(ValueError, match="s=0|s = 0|zero lag"):
-            state_from_fields(gen, eta=lambda x, s: np.sin(np.pi * x))
-
-    def test_eta_sampling_is_layed_out_slice_major(self):
-        gen = make_gen(ns=12)
-        u = state_from_fields(gen, eta=lambda x, s: s * np.sin(np.pi * x))
-        block = u[gen.layout["eta"]].reshape(gen.ns_active, gen.n_eta)
-        x = gen.grid.nodes_dirichlet
-        for k in (0, 5):
-            s_k = gen.mgrid.s[k + 1]
-            assert np.allclose(block[k], s_k * np.sin(np.pi * x))
 
 
 class TestConservativeLimit:
@@ -160,9 +140,7 @@ class TestHistoryCollapse:
 
     def test_rejects_nonzero_history_start(self):
         gen = make_gen(nx=8, ns=16)
-        u0 = state_from_fields(
-            gen, phi=lambda x: np.sin(np.pi * x),
-            eta=lambda x, s: s * np.sin(np.pi * x),
-        )
+        u0 = initial_state(gen, "smooth_bump")
+        u0[gen.layout["eta"]] = 0.1
         with pytest.raises(ValueError):
             collapsed_history_gap(gen, u0, T=1.0, dt=0.05)

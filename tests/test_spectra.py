@@ -79,7 +79,8 @@ class TestWindowSpectrum:
         gen = make_gen(nx=12, ns=12)
         dense = compute_spectrum(gen).eigenvalues
         im_max = 25.0
-        win = window_spectrum(gen, im_max=im_max, n_shifts=6, k_per_shift=120).eigenvalues
+        shifts = [complex(-1.25, s) for s in np.linspace(0.0, im_max, 6)] + [-2.5]
+        win = window_spectrum(gen, im_max=im_max, shifts=shifts, k_per_shift=120).eigenvalues
         # oscillatory modes only: purely real overdamped history modes
         # sit in a dense cluster and need k_per_shift ~ dim to enumerate
         targets = dense[(np.abs(dense.imag) <= im_max)
