@@ -227,6 +227,33 @@ def _position_fields(bc: BoundaryCondition, include_w: bool) -> list[tuple[str, 
     return fields
 
 
+# Parity of each field under x -> L - x: the rotation and the axial
+# displacement are odd, and so is the heat flux, a directed quantity.
+_MIRROR_SIGN = {"phi": 1.0, "psi": -1.0, "w": -1.0, "theta": 1.0, "q": -1.0}
+
+
+def reflection(gen: Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, sign) of the signed mirror x -> L - x: (P u)[i] = sign[i] * u[perm[i]].
+
+    Every field's nodes and midpoints are symmetric about L/2, so the
+    mirror reverses each field block (each history slice on its own).
+    Velocities take the sign of their field, nodal history that of psi,
+    and gradient history that of psi_x.  P is an involution, and every
+    assembled A and B commute with it.
+    """
+    sign = dict(_MIRROR_SIGN)
+    for name, _ in _position_fields(gen.bc, gen.include_w):
+        sign["d" + name] = sign[name]
+    sign["eta"] = -1.0 if gen.eta_rep == "nodal" else 1.0
+    perm = np.arange(gen.dim)
+    signs = np.empty(gen.dim)
+    for name, sl in gen.layout.items():
+        width = gen.n_eta if name == "eta" else sl.stop - sl.start
+        perm[sl] = perm[sl].reshape(-1, width)[:, ::-1].ravel()
+        signs[sl] = sign[name]
+    return perm, signs
+
+
 def assemble_generator(
     params: PhysicalParams,
     kernel: KernelSpec,

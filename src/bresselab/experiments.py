@@ -351,11 +351,17 @@ def run_resolvent(ctx: _RunContext, out_dir: Path) -> list[Path]:
         + (f"{anchors.size} envelope anchors, " if anchors is not None else "uniform grid, ")
         + f"fit window top {_f(win_hi)}"
     )
+    unconverged = scan.lam[~scan.converged]
+    rep.say(
+        f"resolvent health: {unconverged.size} of {scan.lam.size} samples stopped unconverged "
+        f"at the iteration cap; the growth fit uses {np.isin(unconverged, fit.lam).sum()} "
+        "of them as envelope points"
+    )
     if report is None:
         rep.say(f"resolvent growth exponent: {fit.exponent:.4f} (no regime prediction)")
         return [rpath]
     regime = report.regime
-    measured = f"exponent = {fit.exponent:.4f} over {fit.n_points} envelope points"
+    measured = f"exponent = {fit.exponent:.4f} over {fit.lam.size} envelope points"
     if regime is Regime.EXPONENTIAL:
         rep.check("resolvent growth", "bounded on the axis (exponent <= 0.2)", measured,
                   fit.exponent <= 0.2)

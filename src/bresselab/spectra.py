@@ -18,7 +18,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigs, splu
 
-from .discretize import Generator
+from .discretize import Generator, reflection
 from .model import wave_speeds
 
 # Largest dimension fed to the dense eigensolver.
@@ -41,14 +41,47 @@ def _sorted_eigs(vals: np.ndarray) -> np.ndarray:
     return vals[order]
 
 
+def _parity_basis(perm: np.ndarray, sign: np.ndarray, parity: float) -> sp.csc_matrix:
+    """Orthonormal basis of the eigenspace P v = parity * v of a signed reflection.
+
+    One column (e_i + parity * sign_i * e_perm[i]) / sqrt(2) per swapped
+    pair i < perm[i], and e_i for each fixed index whose sign is parity.
+    """
+    idx = np.arange(perm.size)
+    pairs = np.flatnonzero(idx < perm)
+    fixed = np.flatnonzero((idx == perm) & (sign == parity))
+    n_pairs = pairs.size
+    r = np.sqrt(0.5)
+    rows = np.concatenate([pairs, perm[pairs], fixed])
+    cols = np.concatenate([np.arange(n_pairs), np.arange(n_pairs), n_pairs + np.arange(fixed.size)])
+    vals = np.concatenate([np.full(n_pairs, r), parity * r * sign[pairs], np.ones(fixed.size)])
+    return sp.csc_matrix((vals, (rows, cols)), shape=(perm.size, n_pairs + fixed.size))
+
+
+def _dense_eigvals(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
+    """(eigenvalues of a, whether the Cholesky transform by b was applied)."""
+    try:
+        r = la.cholesky(b, lower=False)
+    except la.LinAlgError:
+        return la.eigvals(a), False
+    tilde = la.solve_triangular(r.T, (r @ a).T, lower=True).T
+    return la.eigvals(tilde), True
+
+
 def compute_spectrum(gen: Generator) -> SpectrumReport:
-    """All eigenvalues of the generator by a dense solve.
+    """All eigenvalues of the generator by two half-size dense solves.
+
+    A and B commute with the mirror x -> L - x (discretize.reflection),
+    so the spectrum is the union of the spectra of their restrictions to
+    the even and the odd subspace; each half costs an eighth of the
+    whole solve.  A generator that breaks the mirror is a bug in its
+    assembly and raises ValueError.
 
     Refuses dimensions beyond DENSE_DIM_CAP; use window_spectrum with a
-    shift list for bigger assemblies.  If the energy Gram matrix is only
-    semidefinite (the Neumann-shear-and-longitudinal variant has a
-    zero-energy mean mode) the transform is skipped and the plain
-    eigenvalues are returned with symmetrized=False.
+    shift list for bigger assemblies.  If a half's energy Gram matrix is
+    only semidefinite (the Neumann-shear-and-longitudinal variant has a
+    zero-energy mean mode, which is odd) that half skips the transform
+    and the report reads symmetrized=False.
     """
     n = gen.dim
     if n > DENSE_DIM_CAP:
@@ -56,25 +89,21 @@ def compute_spectrum(gen: Generator) -> SpectrumReport:
             f"dimension {n} exceeds the dense eigensolver cap {DENSE_DIM_CAP}; "
             "use window_spectrum instead"
         )
-    a = gen.A.toarray()
-    b = gen.B.toarray()
-    try:
-        r = la.cholesky(b, lower=False)
-        symmetrized = True
-    except la.LinAlgError:
-        symmetrized = False
-    if symmetrized:
-        ra = r @ a
-        tilde = la.solve_triangular(r.T, ra.T, lower=True).T
-        vals = la.eigvals(tilde)
-    else:
-        vals = la.eigvals(a)
-    vals = _sorted_eigs(vals)
+    perm, sign = reflection(gen)
+    p = sp.csr_matrix((sign, (np.arange(n), perm)), shape=(n, n))
+    for name, m in (("A", gen.A), ("B", gen.B)):
+        if (p @ m != m @ p).nnz:
+            raise ValueError(f"generator matrix {name} does not commute with the mirror x -> L - x")
+    halves = []
+    for parity in (1.0, -1.0):
+        q = _parity_basis(perm, sign, parity)
+        halves.append(_dense_eigvals((q.T @ gen.A @ q).toarray(), (q.T @ gen.B @ q).toarray()))
+    vals = _sorted_eigs(np.concatenate([v for v, _ in halves]))
     return SpectrumReport(
         eigenvalues=vals,
         max_real_part=float(np.max(vals.real)),
         dim=n,
-        symmetrized=symmetrized,
+        symmetrized=all(s for _, s in halves),
     )
 
 
@@ -160,6 +189,7 @@ class ResolventScan:
     lam: np.ndarray
     inv_sigma_min: np.ndarray
     iterations: np.ndarray
+    converged: np.ndarray  # False where a sample stopped at max_iter short of rtol
     lam_resolution_cap: float
 
 
@@ -235,8 +265,8 @@ def resolvent_scan(
     For each sample the smallest singular value of (i lam - A) in the
     B-metric is found by inverse iteration on the normal equations,
     using one complex LU of (i lam - A) and one real LU of B.  Relative
-    accuracy is driven well below 1e-3; iteration counts are reported so
-    stagnation is visible.
+    accuracy is driven well below 1e-3; iteration counts and a converged
+    flag per sample are reported so stagnation is visible.
     """
     lam = np.asarray(lam, dtype=float)
     cap = resolution_cap(gen)
@@ -260,6 +290,7 @@ def resolvent_scan(
 
     out = np.empty(lam.size)
     iters = np.empty(lam.size, dtype=int)
+    converged = np.zeros(lam.size, dtype=bool)
     for j, lv in enumerate(lam):
         c = (1j * lv) * eye - a
         lu_c = splu(c)
@@ -279,13 +310,15 @@ def resolvent_scan(
             cy = c @ y
             sig2 = abs(np.vdot(cy, b @ cy))
             if sig2_old < np.inf and abs(sig2 - sig2_old) <= rtol * sig2:
-                x = y
+                converged[j] = True
                 break
             sig2_old = sig2
             x = y
         out[j] = 1.0 / np.sqrt(sig2)
         iters[j] = it
-    return ResolventScan(lam=lam, inv_sigma_min=out, iterations=iters, lam_resolution_cap=cap)
+    return ResolventScan(
+        lam=lam, inv_sigma_min=out, iterations=iters, converged=converged, lam_resolution_cap=cap
+    )
 
 
 def envelope_anchors(
@@ -355,7 +388,7 @@ class GrowthFit:
     exponent: float
     intercept: float
     residual_rms: float
-    n_points: int
+    lam: np.ndarray  # frequencies of the fitted samples
     used_peaks: bool
 
 
@@ -416,7 +449,7 @@ def fit_growth_exponent(
         exponent=float(coef[0]),
         intercept=float(coef[1]),
         residual_rms=float(np.sqrt(np.mean(resid ** 2))),
-        n_points=int(order.size),
+        lam=lam[order],
         used_peaks=used_peaks,
     )
 

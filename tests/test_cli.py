@@ -3,17 +3,22 @@
 # =====================================================================
 
 import dataclasses
+import functools
 import os
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import bresselab
+from bresselab import experiments
 from bresselab.cli import main
 from bresselab.configio import ConfigError, parse_config
 from bresselab.experiments import run_experiment
+from bresselab.spectra import resolvent_scan
 
 GOOD = """\
 # equal-speed elastic benchmark
@@ -149,6 +154,26 @@ class TestCliExitCodes:
         )
         assert out.stdout.strip() == "False"
 
+    def test_threads_one_caps_blas(self, tmp_path):
+        # with one BLAS thread the child's CPU time cannot run ahead of its
+        # wall time; uncapped, this dense spectrum reads 1.6-1.9x on 2 cores
+        text = GOOD.replace("experiment = simulate", "experiment = spectrum")
+        text = text.replace("disc.nx = 10", "disc.nx = 60").replace("disc.ns = 12", "disc.ns = 32")
+        caps = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in caps}
+        env["PYTHONPATH"] = str(Path(bresselab.__file__).parents[1])
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        start = time.perf_counter()
+        subprocess.run(
+            [sys.executable, "-m", "bresselab.cli", str(write(tmp_path, text)),
+             "--out", str(tmp_path / "out"), "--threads", "1"],
+            capture_output=True, check=True, env=env,
+        )
+        wall = time.perf_counter() - start
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+        assert cpu <= 1.3 * wall, f"--threads 1 used {cpu:.2f} s CPU in {wall:.2f} s wall"
+
 
 class TestArtifacts:
     def test_energy_csv_schema_and_reproducibility(self, tmp_path):
@@ -195,6 +220,26 @@ class TestArtifacts:
                     assert path.read_bytes() == (tmp_path / "out" / path.name).read_bytes(), (
                         f"{experiment}: {path.name} differs from full-report's"
                     )
+
+    def test_resolvent_report_counts_unconverged_samples(self, tmp_path, monkeypatch):
+        # an iteration cap of 1 leaves every sample unconverged, the
+        # envelope anchors included; the report must say so without
+        # changing any verdict tag
+        text = GOOD.replace("experiment = simulate", "experiment = resolvent")
+        text = text.replace("params.k2 = 1", "params.k2 = 2")
+        text += "spec.samples = 12\nspec.lambda_min = 3\nspec.lambda_max = 12\n"
+        cfg = parse_config(write(tmp_path, text))
+        healthy = run_experiment(cfg, tmp_path / "healthy").report_lines
+        monkeypatch.setattr(experiments, "resolvent_scan", functools.partial(resolvent_scan, max_iter=1))
+        capped = run_experiment(cfg, tmp_path / "capped").report_lines
+        health = [line for line in capped if line.startswith("resolvent health:")]
+        assert len(health) == 1
+        assert health[0].startswith("resolvent health: 12 of 12 samples stopped unconverged")
+        n_points = int(next(line for line in capped if line.startswith("resolvent growth:"))
+                       .split(" over ")[1].split()[0])
+        assert health[0].endswith(f"the growth fit uses {n_points} of them as envelope points")
+        assert "resolvent health: 0 of 12 samples" in "\n".join(healthy)
+        assert all(not line.rstrip().endswith(("PASS", "FAIL", "UNCOVERED")) for line in health)
 
     def test_spectrum_reports_windowed_abscissa(self, tmp_path):
         text = GOOD.replace("experiment = simulate", "experiment = spectrum")

@@ -2,10 +2,15 @@
 # Spectra, resolvent norms, frequency windows, growth-exponent fits
 # =====================================================================
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse as sp
 
+from bresselab import spectra
 from bresselab.kernel import KernelSpec
 from bresselab.model import BoundaryCondition, PhysicalParams
 from bresselab.discretize import (
@@ -13,6 +18,7 @@ from bresselab.discretize import (
     assemble_timoshenko_generator,
     build_memory_grid,
     build_spatial_grid,
+    reflection,
 )
 from bresselab.spectra import (
     ABSCISSA_TRUST_FRACTION,
@@ -72,6 +78,65 @@ class TestComputeSpectrum:
         assert gen.dim > 8000
         with pytest.raises(ValueError, match="window_spectrum"):
             compute_spectrum(gen)
+
+
+def mirror_case(bc, ell, a, nx):
+    """Generator for one (bc, ell, a, nx); bc "two-field" is the straight two-field assembly."""
+    thermal = bc not in ("ddd", "two-field")
+    params = PhysicalParams(rho1=1, rho2=1, k1=1, k2=2, k3=1, ell=ell, thermal=thermal,
+                            rho3=1, delta=1, tau=2, beta=1)
+    kern = KernelSpec(a, 1.0)
+    grid, mgrid = build_spatial_grid(1.0, nx), build_memory_grid(kern, ns=8)
+    if bc == "two-field":
+        return assemble_timoshenko_generator(params, kern, grid, mgrid)
+    return assemble_generator(params, kern, BoundaryCondition.from_string(bc), grid, mgrid)
+
+
+MIRROR_CASES = [
+    *itertools.product(["ddd", "dddd", "dndd", "dnnd"], [0.0, 1.0], [0.0, 0.5], [6, 13]),
+    *itertools.product(["two-field"], [0.0], [0.0, 0.5], [6, 13]),
+]
+
+
+@pytest.mark.parametrize("bc,ell,a,nx", MIRROR_CASES)
+class TestMirrorSplit:
+    def test_assembly_commutes_exactly_with_reflection(self, bc, ell, a, nx):
+        gen = mirror_case(bc, ell, a, nx)
+        perm, sign = reflection(gen)
+        assert np.array_equal(perm[perm], np.arange(gen.dim)), "the mirror must be an involution"
+        assert np.array_equal(sign[perm], sign)
+        p = sp.csr_matrix((sign, (np.arange(gen.dim), perm)), shape=(gen.dim, gen.dim))
+        for m in (gen.A, gen.B):
+            assert (p @ m != m @ p).nnz == 0, "commutation must hold bit for bit"
+
+    def test_split_matches_whole_solve(self, bc, ell, a, nx):
+        gen = mirror_case(bc, ell, a, nx)
+        split = compute_spectrum(gen).eigenvalues
+        whole = la.eigvals(gen.A.toarray())
+        assert split.size == whole.size == gen.dim
+        scale = np.abs(whole).max()
+        # dnnd's zero-energy mean mode is a 2x2 Jordan block at 0, which
+        # any solver spreads by about sqrt(eps * ||A||) ~ 1e-8 of scale:
+        # compare that cluster by count, every other eigenvalue by value
+        zero = 1e-6 * scale
+        assert np.sum(np.abs(split) <= zero) == np.sum(np.abs(whole) <= zero)
+        for v in whole[np.abs(whole) > zero]:
+            d = np.min(np.abs(split - v))
+            assert d <= 1e-8 * scale, f"eigenvalue {v} missing (gap {d:.2e})"
+
+    def test_mirror_breaking_generator_raises(self, bc, ell, a, nx, monkeypatch):
+        gen = mirror_case(bc, ell, a, nx)
+        # entry (0, 1) couples the two left-most values of the first field,
+        # and its mirror image, at the right end, is left as it was
+        bump = sp.csr_matrix(([1e-3], ([0], [1])), shape=gen.A.shape)
+        broken = dataclasses.replace(gen, A=(gen.A + bump).tocsr())
+
+        def solved(*args, **kwargs):
+            raise AssertionError("a generator that breaks the mirror was solved")
+
+        monkeypatch.setattr(spectra.la, "eigvals", solved)
+        with pytest.raises(ValueError, match="mirror"):
+            compute_spectrum(broken)
 
 
 class TestWindowSpectrum:
@@ -157,7 +222,17 @@ class TestResolventScan:
         gen = make_gen(nx=8, ns=8)
         scan = resolvent_scan(gen, np.array([5.0]))
         assert scan.iterations[0] >= 1
+        assert scan.converged[0]
         assert scan.lam_resolution_cap == pytest.approx(resolution_cap(gen))
+
+    def test_iteration_cap_flags_unconverged_samples(self):
+        # one iteration has no previous estimate to compare against, so
+        # no sample can meet the tolerance, and every one must say so
+        gen = make_gen(nx=8, ns=8)
+        scan = resolvent_scan(gen, np.array([3.0, 7.0]), max_iter=1)
+        assert scan.iterations.tolist() == [1, 1]
+        assert scan.converged.tolist() == [False, False]
+        assert np.all(np.isfinite(scan.inv_sigma_min))
 
 
 class TestGrowthFit:
@@ -166,7 +241,8 @@ class TestGrowthFit:
         lam = np.linspace(5.0, 50.0, len(vals)) if lam is None else lam
         return ResolventScan(
             lam=lam, inv_sigma_min=np.asarray(vals, dtype=float),
-            iterations=np.ones(len(lam), dtype=int), lam_resolution_cap=100.0,
+            iterations=np.ones(len(lam), dtype=int), converged=np.ones(len(lam), dtype=bool),
+            lam_resolution_cap=100.0,
         )
 
     def test_recovers_quadratic_growth(self):
@@ -206,7 +282,7 @@ class TestGrowthFit:
         vals = np.where(np.isin(lam, anchors), lam ** 2, 3.0)
         fit = fit_growth_exponent(self.synthetic(vals, lam), peak_lam=anchors)
         assert fit.used_peaks
-        assert fit.n_points == len(anchors)
+        assert fit.lam.tolist() == anchors.tolist()
         assert fit.exponent == pytest.approx(2.0, abs=1e-10), (
             f"anchored fit should read the lam^2 peaks, got {fit.exponent}"
         )
@@ -216,7 +292,7 @@ class TestGrowthFit:
         lam = np.sort(np.concatenate([anchors, np.linspace(5.0, 60.0, 24)]))
         vals = np.where(np.isin(lam, anchors), np.where(lam < 40, lam, lam ** 3), 3.0)
         fit = fit_growth_exponent(self.synthetic(vals, lam), lam_max=40.0, peak_lam=anchors)
-        assert fit.n_points == 4
+        assert fit.lam.size == 4
         assert fit.exponent == pytest.approx(1.0, abs=1e-10)
 
     def test_too_few_anchors_rejected(self):
