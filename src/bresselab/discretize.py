@@ -444,8 +444,8 @@ def dissipation_rates(gen: Generator, u: np.ndarray) -> tuple[float, float]:
     dissipation functional (1/2) int int g' |eta_x|^2: the upwind
     transport quadratic form after summation by parts in s.  Both terms
     are nonpositive by construction and their sum equals
-    Re <A u, u>_B exactly, which is what the energy-balance checks rely
-    on.
+    <A u, u>_B exactly for a real state u, which is what the
+    energy-balance checks rely on.
     """
     u = np.asarray(u)
     mem = 0.0
@@ -455,17 +455,19 @@ def dissipation_rates(gen: Generator, u: np.ndarray) -> tuple[float, float]:
         eta = u[gen.layout["eta"]].reshape(ns, n_eta)
         k_eta = gen.slice_energy
         keta = (k_eta @ eta.T).T
-        b = np.real(np.einsum("ij,ij->i", np.conj(eta), keta))
+        b = np.einsum("ij,ij->i", eta, keta)
         diff = eta.copy()
         diff[1:] -= eta[:-1]
-        kdiff = (k_eta @ diff.T).T
-        d = np.real(np.einsum("ij,ij->i", np.conj(diff), kdiff))
+        # K (eta_k - eta_{k-1}) = K eta_k - K eta_{k-1}: no second product
+        kdiff = keta.copy()
+        kdiff[1:] -= keta[:-1]
+        d = np.einsum("ij,ij->i", diff, kdiff)
         w_next = np.append(w[1:], 0.0)
         mem = -0.5 / ds * float(np.sum((w - w_next) * b) + np.sum(w * d))
     heat = 0.0
     if gen.params.thermal:
         q = u[gen.layout["q"]]
-        heat = -gen.params.beta * gen.grid.h * float(np.real(np.vdot(q, q)))
+        heat = -gen.params.beta * gen.grid.h * float(q @ q)
     return mem, heat
 
 

@@ -137,26 +137,29 @@ class _RunContext:
 
     @cached_property
     def spectrum_generator(self):
-        """Two-field on the straight elastic beam, whose longitudinal modes decouple undamped.
+        """What spectra and resolvent scans read: two-field on the straight elastic beam.
 
-        A config error when it is too big for the dense eigensolver.
+        There the longitudinal modes of the three-field generator decouple
+        undamped, on the axis to round-off.
         """
         cfg = self.cfg
         if _straight_elastic(cfg):
-            gen = self._build(assemble_timoshenko_generator, cfg.params, cfg.kernel, self.grid, self.mgrid)
-        else:
-            gen = self.generator
-        if gen.dim > DENSE_DIM_CAP:
+            return self._build(assemble_timoshenko_generator, cfg.params, cfg.kernel, self.grid, self.mgrid)
+        return self.generator
+
+    def check_dense_cap(self) -> None:
+        """A config error when spectrum_generator is too big for the dense eigensolver."""
+        dim = self.spectrum_generator.dim
+        if dim > DENSE_DIM_CAP:
             raise ConfigError(
-                f"dense spectrum needs dimension <= {DENSE_DIM_CAP}, got {gen.dim}; reduce disc.nx/disc.ns"
+                f"dense spectrum needs dimension <= {DENSE_DIM_CAP}, got {dim}; reduce disc.nx/disc.ns"
             )
-        return gen
 
     @cached_property
     def resolvent_window(self) -> tuple[float, float, float]:
         """(lowest, highest, resolution cap) frequency of the resolvent scan; a config error when empty."""
         cfg = self.cfg
-        cap = resolution_cap(self.generator)
+        cap = resolution_cap(self.spectrum_generator)
         hi = cap if cfg.lambda_max is None else min(cfg.lambda_max, cap)
         lo = cfg.lambda_min
         if not lo < hi:
@@ -169,14 +172,8 @@ class _RunContext:
     @cached_property
     def spectrum(self) -> SpectrumReport:
         """Dense spectrum of spectrum_generator."""
+        self.check_dense_cap()
         return compute_spectrum(self.spectrum_generator)
-
-    @cached_property
-    def generator_spectrum(self) -> SpectrumReport:
-        """Dense spectrum of the generator; not solved again when it is spectrum_generator."""
-        if _straight_elastic(self.cfg):
-            return compute_spectrum(self.generator)
-        return self.spectrum
 
 
 # =====================================================================
@@ -316,7 +313,7 @@ def run_spectrum(ctx: _RunContext, out_dir: Path) -> list[Path]:
 def run_resolvent(ctx: _RunContext, out_dir: Path) -> list[Path]:
     cfg, rep = ctx.cfg, ctx.rep
     report = ctx.regime_report
-    gen = ctx.generator
+    gen = ctx.spectrum_generator
     lo, hi, cap = ctx.resolvent_window
     # The envelope is only visible at peak frequencies (the peaks are
     # narrower than any affordable uniform spacing), so when the dense
@@ -325,7 +322,7 @@ def run_resolvent(ctx: _RunContext, out_dir: Path) -> list[Path]:
     # those; otherwise fall back to a uniform grid and local maxima.
     anchors = None
     if gen.dim <= DENSE_DIM_CAP:
-        anchors = envelope_anchors(ctx.generator_spectrum.eigenvalues, lo, hi)
+        anchors = envelope_anchors(ctx.spectrum.eigenvalues, lo, hi)
         lam = scan_frequencies(anchors, lo, hi, cfg.samples)
     else:
         lam = np.linspace(lo, hi, cfg.samples)
@@ -418,7 +415,7 @@ def run_characteristic(ctx: _RunContext, out_dir: Path) -> list[Path]:
 
 def run_full_report(ctx: _RunContext, out_dir: Path) -> list[Path]:
     # a config the later sections refuse fails before any section writes a file
-    ctx.spectrum_generator
+    ctx.check_dense_cap()
     ctx.resolvent_window
     files = run_simulate(ctx, out_dir)
     files += run_spectrum(ctx, out_dir)

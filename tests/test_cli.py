@@ -11,6 +11,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bresselab
@@ -37,6 +38,16 @@ sim.T = 100
 sim.dt = 0.05
 sim.stride = 5
 """
+
+# straight elastic beam at unequal speeds: its resolvent grows along the axis
+STRAIGHT_RESOLVENT = (
+    GOOD.replace("experiment = simulate", "experiment = resolvent")
+    .replace("params.ell = 1.0", "params.ell = 0")
+    .replace("params.k2 = 1", "params.k2 = 2")
+    .replace("disc.nx = 10", "disc.nx = 30")
+    .replace("disc.ns = 12", "disc.ns = 16")
+    + "spec.samples = 20\n"
+)
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -240,6 +251,32 @@ class TestArtifacts:
         assert health[0].endswith(f"the growth fit uses {n_points} of them as envelope points")
         assert "resolvent health: 0 of 12 samples" in "\n".join(healthy)
         assert all(not line.rstrip().endswith(("PASS", "FAIL", "UNCOVERED")) for line in health)
+
+    def test_straight_beam_resolvent_scans_two_field_generator(self, tmp_path):
+        # the three-field generator of the straight beam carries an undamped
+        # longitudinal family, so a scan anchored on it reads round-off
+        cfg_path = write(tmp_path, STRAIGHT_RESOLVENT)
+        result = run_experiment(parse_config(cfg_path), tmp_path / "inproc")
+        assert "resolvent health: 0 of 20 samples stopped unconverged" in "\n".join(result.report_lines)
+        rows = (tmp_path / "inproc" / "resolvent.csv").read_text().splitlines()[1:]
+        peak = max(float(row.split(",")[1]) for row in rows)
+        assert peak <= 1e8, f"inv_sigma_min reaches {peak:.3e}"
+
+        env = {**os.environ, "PYTHONPATH": str(Path(bresselab.__file__).parents[1])}
+        scans, growth = [], []
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "bresselab.cli", str(cfg_path), "--out", str(out),
+                 "--threads", str(threads)],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode in (0, 1), proc.stderr
+            scans.append(np.loadtxt(out / "resolvent.csv", delimiter=",", skiprows=1))
+            growth.append([line for line in (out / "report.txt").read_text().splitlines()
+                           if line.startswith("resolvent growth:")])
+        np.testing.assert_allclose(scans[1], scans[0], rtol=1e-8, atol=0.0)
+        assert growth[0] == growth[1] and len(growth[0]) == 1
 
     def test_spectrum_reports_windowed_abscissa(self, tmp_path):
         text = GOOD.replace("experiment = simulate", "experiment = spectrum")

@@ -5,11 +5,14 @@
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse as sp
 
+from bresselab import simulate as simulate_module
 from bresselab.kernel import KernelSpec
 from bresselab.model import BoundaryCondition, PhysicalParams
 from bresselab.discretize import assemble_generator, build_memory_grid, build_spatial_grid
 from bresselab.simulate import (
+    Stepper,
     collapsed_history_gap,
     default_dt,
     initial_state,
@@ -17,6 +20,8 @@ from bresselab.simulate import (
 )
 
 ALL_ONES = PhysicalParams(rho1=1, rho2=1, k1=1, k2=1, k3=1, ell=1.0)
+THERMAL = PhysicalParams(rho1=1, rho2=3, k1=1, k2=1, k3=1, ell=1.0,
+                         thermal=True, rho3=1, delta=1, tau=2, beta=1)
 
 
 def make_gen(params=None, a=0.5, nx=10, ns=12, bc="ddd"):
@@ -48,6 +53,44 @@ class TestInitialStates:
             initial_state(gen, "sawtooth")
         with pytest.raises(ValueError):
             initial_state(gen, "eigenmode", index=0)
+
+
+class TestStepper:
+    @pytest.mark.parametrize("dt", [None, 0.05, 0.5], ids=["default_dt", "0.05", "0.5"])
+    @pytest.mark.parametrize("nx", [6, 40])
+    @pytest.mark.parametrize("bc", ["ddd", "dddd", "dndd", "dnnd"])
+    def test_one_step_matches_dense_solve(self, bc, nx, dt):
+        # u+ = 2 (I - dt/2 A)^-1 u - u, on a state with every block filled
+        gen = make_gen(params=ALL_ONES if bc == "ddd" else THERMAL, nx=nx, bc=bc)
+        dt = default_dt(gen) if dt is None else dt
+        u = np.random.default_rng(5).standard_normal(gen.dim)
+        m = np.eye(gen.dim) - 0.5 * dt * gen.A.toarray()
+        want = 2.0 * np.linalg.solve(m, u) - u
+        got = Stepper(gen.A, dt).advance(u)
+        err = np.linalg.norm(got - want) / np.linalg.norm(want)
+        assert err <= 1e-12, f"bc={bc} nx={nx} dt={dt}: one step off by {err:.3e}"
+
+    @pytest.mark.parametrize("nx", [80, 200])
+    @pytest.mark.parametrize("bc", ["ddd", "dddd"])
+    def test_factor_fill_stays_near_matrix_nnz(self, bc, nx, monkeypatch):
+        # the factor comes through the module-level splu; a fill-reducing
+        # symmetric ordering with diagonal pivots keeps L + U within 2x the
+        # matrix, where COLAMD with partial pivoting fills it about 17x
+        factors = []
+        splu = simulate_module.splu
+
+        def recording_splu(*args, **kwargs):
+            factors.append(splu(*args, **kwargs))
+            return factors[-1]
+
+        monkeypatch.setattr(simulate_module, "splu", recording_splu)
+        gen = make_gen(params=ALL_ONES if bc == "ddd" else THERMAL, nx=nx, ns=32, bc=bc)
+        dt = 0.05
+        Stepper(gen.A, dt)
+        (lu,) = factors
+        nnz = (sp.identity(gen.dim) - 0.5 * dt * gen.A).tocsc().nnz
+        fill = lu.L.nnz + lu.U.nnz
+        assert fill <= 2 * nnz, f"bc={bc} nx={nx}: factor holds {fill} nonzeros for {nnz}"
 
 
 class TestConservativeLimit:
@@ -105,11 +148,7 @@ class TestAccuracy:
 class TestMonotonicity:
     @pytest.mark.parametrize("bc,thermal", [("ddd", False), ("dddd", True)])
     def test_energy_never_increases(self, bc, thermal):
-        if thermal:
-            p = PhysicalParams(rho1=1, rho2=3, k1=1, k2=1, k3=1, ell=1.0,
-                               thermal=True, rho3=1, delta=1, tau=2, beta=1)
-        else:
-            p = ALL_ONES
+        p = THERMAL if thermal else ALL_ONES
         gen = make_gen(params=p, a=0.25 if thermal else 0.5, bc=bc)
         u0 = initial_state(gen, "random", seed=11)
         trace = simulate(gen, u0, T=10.0, dt=0.05)
