@@ -88,7 +88,7 @@ class _RunContext:
         self.cfg, self.rep = cfg, rep
 
     def _build(self, make, *args):
-        """make(*args); a grid or an assembly the config cannot give is a config error."""
+        """make(*args); a grid, an assembly or a scan the config cannot give is a config error."""
         try:
             return make(*args)
         except ValueError as exc:
@@ -147,19 +147,31 @@ class _RunContext:
             return self._build(assemble_timoshenko_generator, cfg.params, cfg.kernel, self.grid, self.mgrid)
         return self.generator
 
-    def check_dense_cap(self) -> None:
-        """A config error when spectrum_generator is too big for the dense eigensolver."""
+    @cached_property
+    def spectrum(self) -> SpectrumReport:
+        """Dense spectrum of spectrum_generator; a config error past the dense eigensolver cap."""
         dim = self.spectrum_generator.dim
         if dim > DENSE_DIM_CAP:
             raise ConfigError(
                 f"dense spectrum needs dimension <= {DENSE_DIM_CAP}, got {dim}; reduce disc.nx/disc.ns"
             )
+        return compute_spectrum(self.spectrum_generator)
 
     @cached_property
-    def resolvent_window(self) -> tuple[float, float, float]:
-        """(lowest, highest, resolution cap) frequency of the resolvent scan; a config error when empty."""
+    def resolvent_plan(self) -> tuple[float, float, float, np.ndarray, np.ndarray, float]:
+        """(lo, hi, resolution cap, scan frequencies, envelope anchors, fit top) of the resolvent scan.
+
+        The resolvent peaks are narrower than any affordable uniform
+        spacing, so the scan is anchored at the least damped eigenvalue of
+        each frequency band, and the growth fit reads the anchors up to the
+        top of the trusted frequency window (past it the stencils suppress
+        the damping the envelope measures).  A config error when the window
+        is empty, the spectrum is past the dense cap, the anchors outnumber
+        spec.samples, or fewer than 4 of them lie under the fit top.
+        """
         cfg = self.cfg
-        cap = resolution_cap(self.spectrum_generator)
+        gen = self.spectrum_generator
+        cap = resolution_cap(gen)
         hi = cap if cfg.lambda_max is None else min(cfg.lambda_max, cap)
         lo = cfg.lambda_min
         if not lo < hi:
@@ -167,13 +179,16 @@ class _RunContext:
                 f"resolvent window [{lo}, {hi}] is empty (resolution cap {_f(cap)}); "
                 "refine disc.nx or lower spec.lambda_min"
             )
-        return lo, hi, cap
-
-    @cached_property
-    def spectrum(self) -> SpectrumReport:
-        """Dense spectrum of spectrum_generator."""
-        self.check_dense_cap()
-        return compute_spectrum(self.spectrum_generator)
+        anchors = envelope_anchors(self.spectrum.eigenvalues, lo, hi)
+        lam = self._build(scan_frequencies, anchors, lo, hi, cfg.samples)
+        top = min(hi, abscissa_window(gen))
+        n_fit = np.count_nonzero(anchors <= top)
+        if n_fit < 4:
+            raise ConfigError(
+                f"resolvent growth fit needs at least 4 envelope anchors in the trusted window "
+                f"[{lo}, {_f(top)}], got {n_fit}; refine disc.nx or lower spec.lambda_min"
+            )
+        return lo, hi, cap, lam, anchors, top
 
 
 # =====================================================================
@@ -283,10 +298,7 @@ def run_spectrum(ctx: _RunContext, out_dir: Path) -> list[Path]:
     tags = [""] * len(report.eigenvalues)
     if _straight_elastic(cfg):
         try:
-            tagged = match_branches(report, cfg.params, cfg.kernel)
-            tags = [
-                "" if t is None else str(t[0]) for t in tagged.branch_tags
-            ]
+            tags = ["" if t is None else str(t[0]) for t in match_branches(report, cfg.params, cfg.kernel)]
         except ValueError as exc:
             rep.say(f"branch tags unavailable: {exc}")
 
@@ -313,40 +325,18 @@ def run_spectrum(ctx: _RunContext, out_dir: Path) -> list[Path]:
 def run_resolvent(ctx: _RunContext, out_dir: Path) -> list[Path]:
     cfg, rep = ctx.cfg, ctx.rep
     report = ctx.regime_report
-    gen = ctx.spectrum_generator
-    lo, hi, cap = ctx.resolvent_window
-    # The envelope is only visible at peak frequencies (the peaks are
-    # narrower than any affordable uniform spacing), so when the dense
-    # eigensolver is affordable the samples are anchored at the least
-    # damped eigenvalue per frequency band and the fit reads exactly
-    # those; otherwise fall back to a uniform grid and local maxima.
-    anchors = None
-    if gen.dim <= DENSE_DIM_CAP:
-        anchors = envelope_anchors(ctx.spectrum.eigenvalues, lo, hi)
-        lam = scan_frequencies(anchors, lo, hi, cfg.samples)
-    else:
-        lam = np.linspace(lo, hi, cfg.samples)
-    scan = resolvent_scan(gen, lam)
+    lo, hi, cap, lam, anchors, top = ctx.resolvent_plan
+    scan = resolvent_scan(ctx.spectrum_generator, lam)
     rpath = out_dir / "resolvent.csv"
     with open(rpath, "w") as fh:
         fh.write("lambda,inv_sigma_min\n")
         for lv, sv in zip(scan.lam, scan.inv_sigma_min):
             fh.write(f"{_f(lv)},{_f(sv)}\n")
 
-    # Fit inside the trusted frequency window: past it the averaging
-    # stencils suppress the damping of the indirectly damped families
-    # and the envelope tail reflects the grid, not the system.
-    win_hi = min(hi, abscissa_window(gen))
-    try:
-        fit = fit_growth_exponent(scan, lam_max=win_hi, peak_lam=anchors)
-    except ValueError:
-        win_hi = hi
-        fit = fit_growth_exponent(scan, peak_lam=anchors)
+    fit = fit_growth_exponent(scan, lam_max=top, peak_lam=anchors)
     rep.say(
         f"resolvent window: [{_f(lo)}, {_f(hi)}], {cfg.samples} samples, "
-        f"resolution cap {_f(cap)}, "
-        + (f"{anchors.size} envelope anchors, " if anchors is not None else "uniform grid, ")
-        + f"fit window top {_f(win_hi)}"
+        f"resolution cap {_f(cap)}, {anchors.size} envelope anchors, fit window top {_f(top)}"
     )
     unconverged = scan.lam[~scan.converged]
     rep.say(
@@ -415,8 +405,7 @@ def run_characteristic(ctx: _RunContext, out_dir: Path) -> list[Path]:
 
 def run_full_report(ctx: _RunContext, out_dir: Path) -> list[Path]:
     # a config the later sections refuse fails before any section writes a file
-    ctx.check_dense_cap()
-    ctx.resolvent_window
+    ctx.resolvent_plan
     files = run_simulate(ctx, out_dir)
     files += run_spectrum(ctx, out_dir)
     files += run_resolvent(ctx, out_dir)

@@ -33,7 +33,6 @@ class SpectrumReport:
     max_real_part: float
     dim: int
     symmetrized: bool
-    branch_tags: list | None = None
 
 
 def _sorted_eigs(vals: np.ndarray) -> np.ndarray:
@@ -189,8 +188,7 @@ class ResolventScan:
     lam: np.ndarray
     inv_sigma_min: np.ndarray
     iterations: np.ndarray
-    converged: np.ndarray  # False where a sample stopped at max_iter short of rtol
-    lam_resolution_cap: float
+    converged: np.ndarray  # False where a sample stopped at max_iter short of RESOLVENT_RTOL
 
 
 def resolution_cap(gen: Generator) -> float:
@@ -234,7 +232,7 @@ def abscissa_window(gen: Generator) -> float:
     return float(ABSCISSA_TRUST_FRACTION * np.pi * c_und / gen.grid.h)
 
 
-def windowed_abscissa(gen: Generator, eigenvalues: np.ndarray | None = None) -> float:
+def windowed_abscissa(gen: Generator, eigenvalues: np.ndarray) -> float:
     """Max real part over eigenvalues within the trusted frequency window.
 
     Centered second-order stencils lose the cross-field coupling that
@@ -245,8 +243,6 @@ def windowed_abscissa(gen: Generator, eigenvalues: np.ndarray | None = None) -> 
     to |Im| below a fixed fraction of the cutoff keeps only modes whose
     decay rates the grid actually resolves.
     """
-    if eigenvalues is None:
-        eigenvalues = compute_spectrum(gen).eigenvalues
     cap = abscissa_window(gen)
     sel = eigenvalues[np.abs(eigenvalues.imag) <= cap]
     if len(sel) == 0:
@@ -254,12 +250,12 @@ def windowed_abscissa(gen: Generator, eigenvalues: np.ndarray | None = None) -> 
     return float(sel.real.max())
 
 
-def resolvent_scan(
-    gen: Generator,
-    lam: np.ndarray,
-    rtol: float = 1e-4,
-    max_iter: int = 400,
-) -> ResolventScan:
+# Relative change of sigma_min^2 between inverse iterations at which a
+# resolvent sample counts as converged.
+RESOLVENT_RTOL = 1e-4
+
+
+def resolvent_scan(gen: Generator, lam: np.ndarray, max_iter: int = 400) -> ResolventScan:
     """Energy-norm resolvent along i*lam by inverse iteration.
 
     For each sample the smallest singular value of (i lam - A) in the
@@ -309,16 +305,14 @@ def resolvent_scan(
             # Rayleigh quotient of the normal operator at y: ||C y||_B^2
             cy = c @ y
             sig2 = abs(np.vdot(cy, b @ cy))
-            if sig2_old < np.inf and abs(sig2 - sig2_old) <= rtol * sig2:
+            if sig2_old < np.inf and abs(sig2 - sig2_old) <= RESOLVENT_RTOL * sig2:
                 converged[j] = True
                 break
             sig2_old = sig2
             x = y
         out[j] = 1.0 / np.sqrt(sig2)
         iters[j] = it
-    return ResolventScan(
-        lam=lam, inv_sigma_min=out, iterations=iters, converged=converged, lam_resolution_cap=cap
-    )
+    return ResolventScan(lam=lam, inv_sigma_min=out, iterations=iters, converged=converged)
 
 
 def envelope_anchors(
@@ -386,19 +380,15 @@ class GrowthFit:
     """Power-law fit of the resolvent envelope."""
 
     exponent: float
-    intercept: float
-    residual_rms: float
     lam: np.ndarray  # frequencies of the fitted samples
-    used_peaks: bool
 
 
 def fit_growth_exponent(
     scan: ResolventScan,
-    lam_min: float | None = None,
-    lam_max: float | None = None,
-    peak_lam: np.ndarray | None = None,
+    peak_lam: np.ndarray,
+    lam_max: float = np.inf,
 ) -> GrowthFit:
-    """Slope of log ||resolvent|| against log lam over the peak envelope.
+    """Slope of log ||resolvent|| against log lam over the anchored peak envelope.
 
     The growth hypotheses bound the SUP of the resolvent norm up to a
     frequency, a monotone quantity, so the envelope fitted here is the
@@ -410,70 +400,47 @@ def fit_growth_exponent(
     A shrinking envelope therefore reads as growth exponent 0, which is
     the honest answer for a bounded scan.
 
-    Peaks are interior local maxima of the scan.  Fewer than 4 maxima
-    (monotone scans) fall back to every sample in the window.  Callers
-    who placed scan samples at known peak frequencies (see
-    envelope_anchors) pass them as peak_lam and the fit uses exactly
-    those samples instead of detecting maxima.
+    The fit reads exactly the samples at peak_lam, the frequencies the
+    scan was anchored at (see envelope_anchors), up to lam_max; every
+    other sample reads the valley floor between resonances.  Fewer than
+    4 of them raise ValueError.
     """
-    lo = scan.lam.min() if lam_min is None else lam_min
-    hi = scan.lam.max() if lam_max is None else lam_max
-    mask = (scan.lam >= lo) & (scan.lam <= hi) & (scan.lam > 0)
-    lam = scan.lam[mask]
-    val = scan.inv_sigma_min[mask]
-    if peak_lam is not None:
-        sel = np.isin(lam, np.asarray(peak_lam, dtype=float))
-        if np.count_nonzero(sel) < 4:
-            raise ValueError(
-                f"growth fit needs at least 4 anchor samples in the window, "
-                f"got {np.count_nonzero(sel)}"
-            )
-        idx = np.flatnonzero(sel)
-        used_peaks = True
-    else:
-        if lam.size < 8:
-            raise ValueError(
-                f"growth fit needs at least 8 samples in the window, got {lam.size}"
-            )
-        peaks = [
-            i for i in range(1, lam.size - 1) if val[i] >= val[i - 1] and val[i] >= val[i + 1]
-        ]
-        used_peaks = len(peaks) >= 4
-        idx = np.asarray(peaks) if used_peaks else np.arange(lam.size)
-    order = idx[np.argsort(lam[idx])]
+    sel = np.isin(scan.lam, np.asarray(peak_lam, dtype=float)) & (scan.lam <= lam_max)
+    if np.count_nonzero(sel) < 4:
+        raise ValueError(
+            f"growth fit needs at least 4 anchor samples in the window, "
+            f"got {np.count_nonzero(sel)}"
+        )
+    lam, val = scan.lam[sel], scan.inv_sigma_min[sel]
+    order = np.argsort(lam)
     x = np.log(lam[order])
     y = np.log(np.maximum.accumulate(val[order]))
-    coef = np.polyfit(x, y, 1)
-    resid = y - np.polyval(coef, x)
-    return GrowthFit(
-        exponent=float(coef[0]),
-        intercept=float(coef[1]),
-        residual_rms=float(np.sqrt(np.mean(resid ** 2))),
-        lam=lam[order],
-        used_peaks=used_peaks,
-    )
+    return GrowthFit(exponent=float(np.polyfit(x, y, 1)[0]), lam=lam[order])
 
 
 # =====================================================================
 # Branch tagging against the characteristic predictions
 # =====================================================================
 
+# Relative gap under which the two nearest branch predictions of an
+# eigenvalue are too close to tell apart.
+BRANCH_AMBIGUITY_RATIO = 0.10
+
+
 def match_branches(
     report: SpectrumReport,
     params,
     kernel,
     im_max: float | None = None,
-    ambiguity_ratio: float = 0.10,
-):
+) -> list:
     """Tag eigenvalues with the asymptotic branch whose frequency is nearest.
 
     Predictions come from the characteristic branch seeds (shear branch
     at n pi sqrt(k2/rho2), longitudinal-wave branch at n pi
     sqrt(k1/rho1), unit length).  An eigenvalue whose two nearest
-    predictions differ by less than ambiguity_ratio relative to its own
-    frequency is tagged None: the match would be a coin flip.
-    Returns a new report with branch_tags of (branch, n, predicted_im)
-    or None per eigenvalue.
+    predictions differ by less than BRANCH_AMBIGUITY_RATIO relative to its
+    own frequency is tagged None: the match would be a coin flip.
+    Returns one (branch, n, predicted_im) or None per eigenvalue.
     """
     from .characteristic import branch_seeds
 
@@ -502,14 +469,8 @@ def match_branches(
         d1 = d[i1]
         d[i1] = np.inf
         d2 = float(np.min(d))
-        if (d2 - d1) < ambiguity_ratio * max(target, 1.0):
+        if (d2 - d1) < BRANCH_AMBIGUITY_RATIO * max(target, 1.0):
             tags.append(None)
             continue
         tags.append(preds[i1])
-    return SpectrumReport(
-        eigenvalues=vals,
-        max_real_part=report.max_real_part,
-        dim=report.dim,
-        symmetrized=report.symmetrized,
-        branch_tags=tags,
-    )
+    return tags

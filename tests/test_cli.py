@@ -142,8 +142,18 @@ class TestCliExitCodes:
         # dimension 10800, past the dense eigensolver cap
         {"experiment = simulate": "experiment = full-report",
          "disc.nx = 10": "disc.nx = 200", "disc.ns = 12": "disc.ns = 48"},
+        {"experiment = simulate": "experiment = resolvent",
+         "disc.nx = 10": "disc.nx = 200", "disc.ns = 12": "disc.ns = 48"},
+        # straight beam: 3 envelope anchors under the trusted window top 10.37
+        {"experiment = simulate": "experiment = resolvent",
+         "params.ell = 1.0": "params.ell = 0", "params.k2 = 1": "params.k2 = 2"},
+        {"experiment = simulate": "experiment = full-report",
+         "params.ell = 1.0": "params.ell = 0", "params.k2 = 1": "params.k2 = 2"},
+        # 11 envelope anchors for 3 samples
+        {"experiment = simulate": "experiment = resolvent\nspec.samples = 3"},
     ], ids=["nx", "trunc_tol", "inadmissible_kernel", "full_report_resolvent_window",
-            "full_report_dense_cap"])
+            "full_report_dense_cap", "resolvent_dense_cap", "resolvent_too_few_anchors",
+            "full_report_too_few_anchors", "resolvent_anchors_over_samples"])
     def test_unbuildable_config_exits_two(self, tmp_path, capsys, changes):
         text = GOOD
         for old, new in changes.items():
