@@ -52,7 +52,6 @@ _SCHEMA: dict[str, type] = {
     "sim.seed": int,
     "spec.lambda_min": float,
     "spec.lambda_max": float,
-    "spec.samples": int,
 }
 
 _ALWAYS_REQUIRED = (
@@ -87,7 +86,6 @@ class ExperimentConfig:
     seed: int
     lambda_min: float
     lambda_max: float | None
-    samples: int
     config_id: str
 
 
@@ -210,7 +208,6 @@ def parse_config(path) -> ExperimentConfig:
         seed=int(values.get("sim.seed", 0)),
         lambda_min=positive("spec.lambda_min", float(values.get("spec.lambda_min", 5.0))),
         lambda_max=positive("spec.lambda_max", values.get("spec.lambda_max")),
-        samples=positive("spec.samples", int(values.get("spec.samples", 60))),
         config_id=path.stem,
     )
     return cfg

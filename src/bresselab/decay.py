@@ -29,45 +29,40 @@ class DecayFit:
     rate: float              # eps, or alpha
     r2: float
     window: tuple[float, float]
-    n_points: int
     non_decaying: bool
 
 
-def _window_mask(t: np.ndarray, window: tuple[float, float]) -> np.ndarray:
-    return (t >= window[0]) & (t <= window[1])
+def _fit_decay(model: str, t: np.ndarray, E: np.ndarray, window: tuple[float, float],
+               log_t: bool) -> DecayFit:
+    """Fit log E = a - rate * x on the window, with x = log t when log_t else t.
 
-
-def _lsq_loglinear(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Fit y = a + b x; returns (a, b, r2)."""
+    A flat trace (relative drop below FLAT_TRACE_RTOL) is reported with
+    rate 0 and the non_decaying flag instead of fitting noise.
+    """
+    mask = (t >= window[0]) & (t <= window[1])
+    tw, ew = t[mask], E[mask]
+    if tw.size < 4:
+        raise ValueError(f"{model} fit needs at least 4 samples in the window, got {tw.size}")
+    if np.any(ew <= 0.0):
+        raise ValueError(f"{model} fit needs strictly positive energies in the window")
+    e0 = float(np.max(ew))
+    if (e0 - float(np.min(ew))) <= FLAT_TRACE_RTOL * e0:
+        return DecayFit(model, e0, 0.0, 1.0, window, True)
+    x, y = (np.log(tw) if log_t else tw), np.log(ew)
     coef = np.polyfit(x, y, 1)
-    pred = np.polyval(coef, x)
-    ss_res = float(np.sum((y - pred) ** 2))
+    ss_res = float(np.sum((y - np.polyval(coef, x)) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(coef[1]), float(coef[0]), r2
+    return DecayFit(model, float(np.exp(float(coef[1]))), -float(coef[0]), r2, window, False)
 
 
 def fit_exponential(t: np.ndarray, E: np.ndarray, window: tuple[float, float] | None = None) -> DecayFit:
-    """Fit E ~ M exp(-eps t); default window is the last 60% of the trace.
-
-    A flat trace (relative drop below 1e-12) is reported with eps = 0
-    and the non_decaying flag instead of fitting noise.
-    """
+    """Fit E ~ M exp(-eps t); default window is the last 60% of the trace."""
     t = np.asarray(t, dtype=float)
     E = np.asarray(E, dtype=float)
     if window is None:
         window = (t[0] + 0.4 * (t[-1] - t[0]), t[-1])
-    mask = _window_mask(t, window)
-    tw, ew = t[mask], E[mask]
-    if tw.size < 4:
-        raise ValueError(f"exponential fit needs at least 4 samples in the window, got {tw.size}")
-    if np.any(ew <= 0.0):
-        raise ValueError("exponential fit needs strictly positive energies in the window")
-    e0 = float(np.max(ew))
-    if e0 == 0.0 or (e0 - float(np.min(ew))) <= FLAT_TRACE_RTOL * e0:
-        return DecayFit("exponential", e0, 0.0, 1.0, window, tw.size, True)
-    intercept, slope, r2 = _lsq_loglinear(tw, np.log(ew))
-    return DecayFit("exponential", float(np.exp(intercept)), -slope, r2, window, tw.size, False)
+    return _fit_decay("exponential", t, E, window, log_t=False)
 
 
 def fit_polynomial(t: np.ndarray, E: np.ndarray, window: tuple[float, float] | None = None) -> DecayFit:
@@ -82,17 +77,7 @@ def fit_polynomial(t: np.ndarray, E: np.ndarray, window: tuple[float, float] | N
         window = (max(1.0, t[-1] / 5.0), t[-1])
     if window[0] < 1.0:
         raise ValueError(f"polynomial fit window must start at t >= 1, got {window[0]}")
-    mask = _window_mask(t, window)
-    tw, ew = t[mask], E[mask]
-    if tw.size < 4:
-        raise ValueError(f"polynomial fit needs at least 4 samples in the window, got {tw.size}")
-    if np.any(ew <= 0.0):
-        raise ValueError("polynomial fit needs strictly positive energies in the window")
-    e0 = float(np.max(ew))
-    if (e0 - float(np.min(ew))) <= FLAT_TRACE_RTOL * e0:
-        return DecayFit("polynomial", e0, 0.0, 1.0, window, tw.size, True)
-    intercept, slope, r2 = _lsq_loglinear(np.log(tw), np.log(ew))
-    return DecayFit("polynomial", float(np.exp(intercept)), -slope, r2, window, tw.size, False)
+    return _fit_decay("polynomial", t, E, window, log_t=True)
 
 
 @dataclass

@@ -25,7 +25,7 @@ from .discretize import (
     build_spatial_grid,
 )
 from .kernel import validate_hypotheses
-from .model import Regime, RegimeReport, classify_regime
+from .model import Regime, RegimeReport, classify_regime, equal_speed_condition
 from .simulate import initial_state, simulate
 from .spectra import (
     DENSE_DIM_CAP,
@@ -37,7 +37,6 @@ from .spectra import (
     match_branches,
     resolution_cap,
     resolvent_scan,
-    scan_frequencies,
     windowed_abscissa,
 )
 
@@ -73,8 +72,23 @@ class _Report:
             self.status = "uncovered"
 
 
+# Least frequency ratio the fitted envelope anchors must span: a log-log
+# slope over less than an octave reads the scatter of a few peak
+# heights, not a growth law.
+MIN_ANCHOR_SPAN = 2.0
+
+
 def _straight_elastic(cfg: ExperimentConfig) -> bool:
     return cfg.params.timoshenko and not cfg.params.thermal
+
+
+def _characteristic_refusal(cfg: ExperimentConfig) -> str | None:
+    """Why the characteristic roots do not apply to cfg; None when they do."""
+    if not _straight_elastic(cfg) or cfg.params.length != 1.0:
+        return "needs the straight elastic unit-length beam"
+    if equal_speed_condition(cfg.params):
+        return "needs unequal wave speeds k1/rho1 != k2/rho2, whose asymptotic branches are distinct"
+    return None
 
 
 class _RunContext:
@@ -88,7 +102,7 @@ class _RunContext:
         self.cfg, self.rep = cfg, rep
 
     def _build(self, make, *args):
-        """make(*args); a grid, an assembly or a scan the config cannot give is a config error."""
+        """make(*args); a grid or an assembly the config cannot give is a config error."""
         try:
             return make(*args)
         except ValueError as exc:
@@ -158,16 +172,16 @@ class _RunContext:
         return compute_spectrum(self.spectrum_generator)
 
     @cached_property
-    def resolvent_plan(self) -> tuple[float, float, float, np.ndarray, np.ndarray, float]:
-        """(lo, hi, resolution cap, scan frequencies, envelope anchors, fit top) of the resolvent scan.
+    def resolvent_plan(self) -> tuple[float, float, float, np.ndarray, float]:
+        """(lo, hi, resolution cap, scanned anchors, fit top) of the resolvent scan.
 
         The resolvent peaks are narrower than any affordable uniform
-        spacing, so the scan is anchored at the least damped eigenvalue of
-        each frequency band, and the growth fit reads the anchors up to the
-        top of the trusted frequency window (past it the stencils suppress
-        the damping the envelope measures).  A config error when the window
-        is empty, the spectrum is past the dense cap, the anchors outnumber
-        spec.samples, or fewer than 4 of them lie under the fit top.
+        spacing, so the scan samples only the envelope anchors: the least
+        damped eigenvalue of each frequency band over [lo, hi], kept up to
+        the top of the trusted frequency window (past it the stencils
+        suppress the damping the envelope measures).  A config error when
+        the window is empty, the spectrum is past the dense cap, or the
+        kept anchors are fewer than 4 or span less than MIN_ANCHOR_SPAN.
         """
         cfg = self.cfg
         gen = self.spectrum_generator
@@ -179,16 +193,16 @@ class _RunContext:
                 f"resolvent window [{lo}, {hi}] is empty (resolution cap {_f(cap)}); "
                 "refine disc.nx or lower spec.lambda_min"
             )
-        anchors = envelope_anchors(self.spectrum.eigenvalues, lo, hi)
-        lam = self._build(scan_frequencies, anchors, lo, hi, cfg.samples)
         top = min(hi, abscissa_window(gen))
-        n_fit = np.count_nonzero(anchors <= top)
-        if n_fit < 4:
+        anchors = envelope_anchors(self.spectrum.eigenvalues, lo, hi)
+        anchors = anchors[anchors <= top]
+        if anchors.size < 4 or anchors.max() / anchors.min() < MIN_ANCHOR_SPAN:
             raise ConfigError(
-                f"resolvent growth fit needs at least 4 envelope anchors in the trusted window "
-                f"[{lo}, {_f(top)}], got {n_fit}; refine disc.nx or lower spec.lambda_min"
+                f"resolvent growth fit needs at least 4 envelope anchors spanning a frequency "
+                f"ratio of {MIN_ANCHOR_SPAN:g} in the trusted window [{lo}, {_f(top)}], got "
+                f"{np.round(anchors, 3).tolist()}; refine disc.nx or lower spec.lambda_min"
             )
-        return lo, hi, cap, lam, anchors, top
+        return lo, hi, cap, anchors, top
 
 
 # =====================================================================
@@ -323,26 +337,24 @@ def run_spectrum(ctx: _RunContext, out_dir: Path) -> list[Path]:
 
 
 def run_resolvent(ctx: _RunContext, out_dir: Path) -> list[Path]:
-    cfg, rep = ctx.cfg, ctx.rep
+    rep = ctx.rep
     report = ctx.regime_report
-    lo, hi, cap, lam, anchors, top = ctx.resolvent_plan
-    scan = resolvent_scan(ctx.spectrum_generator, lam)
+    lo, hi, cap, anchors, top = ctx.resolvent_plan
+    scan = resolvent_scan(ctx.spectrum_generator, anchors)
     rpath = out_dir / "resolvent.csv"
     with open(rpath, "w") as fh:
         fh.write("lambda,inv_sigma_min\n")
         for lv, sv in zip(scan.lam, scan.inv_sigma_min):
             fh.write(f"{_f(lv)},{_f(sv)}\n")
 
-    fit = fit_growth_exponent(scan, lam_max=top, peak_lam=anchors)
+    fit = fit_growth_exponent(scan)
     rep.say(
-        f"resolvent window: [{_f(lo)}, {_f(hi)}], {cfg.samples} samples, "
-        f"resolution cap {_f(cap)}, {anchors.size} envelope anchors, fit window top {_f(top)}"
+        f"resolvent window: [{_f(lo)}, {_f(hi)}], resolution cap {_f(cap)}, "
+        f"{anchors.size} envelope anchors up to the fit window top {_f(top)}"
     )
-    unconverged = scan.lam[~scan.converged]
     rep.say(
-        f"resolvent health: {unconverged.size} of {scan.lam.size} samples stopped unconverged "
-        f"at the iteration cap; the growth fit uses {np.isin(unconverged, fit.lam).sum()} "
-        "of them as envelope points"
+        f"resolvent health: {np.count_nonzero(~scan.converged)} of {scan.lam.size} samples "
+        "stopped unconverged at the iteration cap"
     )
     if report is None:
         rep.say(f"resolvent growth exponent: {fit.exponent:.4f} (no regime prediction)")
@@ -362,11 +374,9 @@ def run_resolvent(ctx: _RunContext, out_dir: Path) -> list[Path]:
 
 def run_characteristic(ctx: _RunContext, out_dir: Path) -> list[Path]:
     cfg, rep = ctx.cfg, ctx.rep
-    if not _straight_elastic(cfg) or cfg.params.length != 1.0:
-        raise ConfigError(
-            "characteristic experiment needs the straight elastic unit-length beam "
-            "(ell = 0, thermal = false, L = 1)"
-        )
+    refusal = _characteristic_refusal(cfg)
+    if refusal is not None:
+        raise ConfigError(f"characteristic experiment {refusal}")
     n_values = range(10, 31)
     rows = []
     files = []
@@ -409,10 +419,11 @@ def run_full_report(ctx: _RunContext, out_dir: Path) -> list[Path]:
     files = run_simulate(ctx, out_dir)
     files += run_spectrum(ctx, out_dir)
     files += run_resolvent(ctx, out_dir)
-    if _straight_elastic(ctx.cfg) and ctx.cfg.params.length == 1.0:
+    refusal = _characteristic_refusal(ctx.cfg)
+    if refusal is None:
         files += run_characteristic(ctx, out_dir)
     else:
-        ctx.rep.say("characteristic: skipped (needs the straight elastic unit-length beam)")
+        ctx.rep.say(f"characteristic: skipped ({refusal})")
     return files
 
 

@@ -352,29 +352,6 @@ def envelope_anchors(
     return np.unique(np.asarray(anchors))
 
 
-def scan_frequencies(
-    anchors: np.ndarray, lam_min: float, lam_max: float, n_samples: int
-) -> np.ndarray:
-    """Anchor frequencies padded with uniform filler up to n_samples.
-
-    The filler documents the valley floor between resonances in the
-    scan artifact; the anchors carry the envelope.  Returns a strictly
-    increasing vector of exactly n_samples frequencies.
-    """
-    anchors = np.unique(np.asarray(anchors, dtype=float))
-    anchors = anchors[(anchors >= lam_min) & (anchors <= lam_max)]
-    if anchors.size > n_samples:
-        raise ValueError(f"{anchors.size} anchors exceed the {n_samples}-sample budget")
-    n_fill = n_samples - anchors.size
-    fill = np.linspace(lam_min, lam_max, n_fill) if n_fill > 0 else np.empty(0)
-    out = np.unique(np.concatenate([anchors, fill]))
-    while out.size < n_samples:
-        gaps = np.diff(out)
-        j = int(np.argmax(gaps))
-        out = np.insert(out, j + 1, 0.5 * (out[j] + out[j + 1]))
-    return out
-
-
 @dataclass
 class GrowthFit:
     """Power-law fit of the resolvent envelope."""
@@ -383,12 +360,8 @@ class GrowthFit:
     lam: np.ndarray  # frequencies of the fitted samples
 
 
-def fit_growth_exponent(
-    scan: ResolventScan,
-    peak_lam: np.ndarray,
-    lam_max: float = np.inf,
-) -> GrowthFit:
-    """Slope of log ||resolvent|| against log lam over the anchored peak envelope.
+def fit_growth_exponent(scan: ResolventScan) -> GrowthFit:
+    """Slope of log ||resolvent|| against log lam over the scan's running maximum.
 
     The growth hypotheses bound the SUP of the resolvent norm up to a
     frequency, a monotone quantity, so the envelope fitted here is the
@@ -400,22 +373,14 @@ def fit_growth_exponent(
     A shrinking envelope therefore reads as growth exponent 0, which is
     the honest answer for a bounded scan.
 
-    The fit reads exactly the samples at peak_lam, the frequencies the
-    scan was anchored at (see envelope_anchors), up to lam_max; every
-    other sample reads the valley floor between resonances.  Fewer than
-    4 of them raise ValueError.
+    Every sample is read as a peak, so the scan belongs at the envelope
+    anchors (see envelope_anchors) inside the trusted frequency window;
+    a sample between resonances reads the valley floor instead.
     """
-    sel = np.isin(scan.lam, np.asarray(peak_lam, dtype=float)) & (scan.lam <= lam_max)
-    if np.count_nonzero(sel) < 4:
-        raise ValueError(
-            f"growth fit needs at least 4 anchor samples in the window, "
-            f"got {np.count_nonzero(sel)}"
-        )
-    lam, val = scan.lam[sel], scan.inv_sigma_min[sel]
-    order = np.argsort(lam)
-    x = np.log(lam[order])
-    y = np.log(np.maximum.accumulate(val[order]))
-    return GrowthFit(exponent=float(np.polyfit(x, y, 1)[0]), lam=lam[order])
+    order = np.argsort(scan.lam)
+    lam = scan.lam[order]
+    y = np.log(np.maximum.accumulate(scan.inv_sigma_min[order]))
+    return GrowthFit(exponent=float(np.polyfit(np.log(lam), y, 1)[0]), lam=lam)
 
 
 # =====================================================================

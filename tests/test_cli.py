@@ -46,7 +46,6 @@ STRAIGHT_RESOLVENT = (
     .replace("params.k2 = 1", "params.k2 = 2")
     .replace("disc.nx = 10", "disc.nx = 30")
     .replace("disc.ns = 12", "disc.ns = 16")
-    + "spec.samples = 20\n"
 )
 
 
@@ -62,7 +61,7 @@ class TestConfigParsing:
         assert cfg.experiment == "simulate"
         assert cfg.nx == 10 and cfg.ns == 12
         assert cfg.seed == 0 and cfg.ic == "smooth_bump"
-        assert cfg.lambda_min == 5.0 and cfg.samples == 60
+        assert cfg.lambda_min == 5.0
         assert cfg.config_id == "run"
         assert not cfg.params.thermal
 
@@ -149,11 +148,14 @@ class TestCliExitCodes:
          "params.ell = 1.0": "params.ell = 0", "params.k2 = 1": "params.k2 = 2"},
         {"experiment = simulate": "experiment = full-report",
          "params.ell = 1.0": "params.ell = 0", "params.k2 = 1": "params.k2 = 2"},
-        # 11 envelope anchors for 3 samples
-        {"experiment = simulate": "experiment = resolvent\nspec.samples = 3"},
+        # 4 envelope anchors in [5.46, 9.15], less than an octave
+        {"experiment = simulate": "experiment = resolvent"},
+        # equal wave speeds: the two asymptotic root branches coincide
+        {"experiment = simulate": "experiment = characteristic", "params.ell = 1.0": "params.ell = 0"},
     ], ids=["nx", "trunc_tol", "inadmissible_kernel", "full_report_resolvent_window",
             "full_report_dense_cap", "resolvent_dense_cap", "resolvent_too_few_anchors",
-            "full_report_too_few_anchors", "resolvent_anchors_over_samples"])
+            "full_report_too_few_anchors", "resolvent_narrow_anchor_span",
+            "characteristic_equal_speeds"])
     def test_unbuildable_config_exits_two(self, tmp_path, capsys, changes):
         text = GOOD
         for old, new in changes.items():
@@ -216,7 +218,7 @@ class TestArtifacts:
         text = GOOD.replace("experiment = simulate", "experiment = full-report")
         text = text.replace("params.ell = 1.0", f"params.ell = {ell}")
         text = text.replace("params.k2 = 1", "params.k2 = 2")
-        text += "spec.samples = 12\nspec.lambda_min = 3\nspec.lambda_max = 12\n"
+        text += "spec.lambda_min = 3\nspec.lambda_max = 12\n"
         cfg = parse_config(write(tmp_path, text, name="bench.cfg"))
         result = run_experiment(cfg, tmp_path / "out")
         names = {p.name for p in result.files}
@@ -242,24 +244,32 @@ class TestArtifacts:
                         f"{experiment}: {path.name} differs from full-report's"
                     )
 
+    def test_equal_speed_full_report_skips_characteristic(self, tmp_path):
+        # at equal wave speeds the two asymptotic root branches coincide, so
+        # the characteristic section has nothing to track and is skipped
+        text = GOOD.replace("experiment = simulate", "experiment = full-report")
+        text = text.replace("params.ell = 1.0", "params.ell = 0").replace("disc.nx = 10", "disc.nx = 30")
+        result = run_experiment(parse_config(write(tmp_path, text)), tmp_path / "out")
+        assert "characteristic: skipped (needs unequal wave speeds" in "\n".join(result.report_lines)
+        assert {p.name for p in result.files} == {
+            "energy.csv", "fits.csv", "spectrum.csv", "resolvent.csv", "report.txt"
+        }
+
     def test_resolvent_report_counts_unconverged_samples(self, tmp_path, monkeypatch):
         # an iteration cap of 1 leaves every sample unconverged, the
         # envelope anchors included; the report must say so without
         # changing any verdict tag
         text = GOOD.replace("experiment = simulate", "experiment = resolvent")
         text = text.replace("params.k2 = 1", "params.k2 = 2")
-        text += "spec.samples = 12\nspec.lambda_min = 3\nspec.lambda_max = 12\n"
+        text += "spec.lambda_min = 3\nspec.lambda_max = 12\n"
         cfg = parse_config(write(tmp_path, text))
         healthy = run_experiment(cfg, tmp_path / "healthy").report_lines
         monkeypatch.setattr(experiments, "resolvent_scan", functools.partial(resolvent_scan, max_iter=1))
         capped = run_experiment(cfg, tmp_path / "capped").report_lines
         health = [line for line in capped if line.startswith("resolvent health:")]
         assert len(health) == 1
-        assert health[0].startswith("resolvent health: 12 of 12 samples stopped unconverged")
-        n_points = int(next(line for line in capped if line.startswith("resolvent growth:"))
-                       .split(" over ")[1].split()[0])
-        assert health[0].endswith(f"the growth fit uses {n_points} of them as envelope points")
-        assert "resolvent health: 0 of 12 samples" in "\n".join(healthy)
+        assert health[0] == "resolvent health: 5 of 5 samples stopped unconverged at the iteration cap"
+        assert "resolvent health: 0 of 5 samples" in "\n".join(healthy)
         assert all(not line.rstrip().endswith(("PASS", "FAIL", "UNCOVERED")) for line in health)
 
     def test_straight_beam_resolvent_scans_two_field_generator(self, tmp_path):
@@ -267,7 +277,7 @@ class TestArtifacts:
         # longitudinal family, so a scan anchored on it reads round-off
         cfg_path = write(tmp_path, STRAIGHT_RESOLVENT)
         result = run_experiment(parse_config(cfg_path), tmp_path / "inproc")
-        assert "resolvent health: 0 of 20 samples stopped unconverged" in "\n".join(result.report_lines)
+        assert "resolvent health: 0 of 11 samples stopped unconverged" in "\n".join(result.report_lines)
         rows = (tmp_path / "inproc" / "resolvent.csv").read_text().splitlines()[1:]
         peak = max(float(row.split(",")[1]) for row in rows)
         assert peak <= 1e8, f"inv_sigma_min reaches {peak:.3e}"
