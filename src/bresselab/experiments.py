@@ -303,6 +303,19 @@ def run_simulate(ctx: _RunContext, out_dir: Path) -> list[Path]:
     return files
 
 
+def _halves_text(report: SpectrumReport) -> str:
+    """'halves 1520 + 1520, both symmetrized': which halves took the Cholesky transform."""
+    dims = " + ".join(str(d) for d, _ in report.halves)
+    even, odd = (s for _, s in report.halves)
+    if even and odd:
+        state = "both symmetrized"
+    elif even or odd:
+        state = f"{'even' if even else 'odd'} symmetrized only"
+    else:
+        state = "neither symmetrized"
+    return f"halves {dims}, {state}"
+
+
 def run_spectrum(ctx: _RunContext, out_dir: Path) -> list[Path]:
     cfg, rep = ctx.cfg, ctx.rep
     gen = ctx.spectrum_generator
@@ -325,7 +338,7 @@ def run_spectrum(ctx: _RunContext, out_dir: Path) -> list[Path]:
     rep.check(
         "spectral dissipativity",
         "max Re(lambda) <= 1e-8",
-        f"dim = {report.dim}, max Re = {_f(report.max_real_part)}",
+        f"dim = {report.dim} ({_halves_text(report)}), max Re = {_f(report.max_real_part)}",
         report.max_real_part <= 1e-8,
     )
     win = abscissa_window(gen)

@@ -11,11 +11,16 @@ multiple of machine precision times ||A||, which is what makes the
 
 from __future__ import annotations
 
+import ctypes
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.linalg._umath_linalg
 import scipy.linalg as la
+import scipy.linalg._flapack
 import scipy.sparse as sp
+from scipy.linalg import blas
 from scipy.sparse.linalg import eigs, splu
 
 from .discretize import Generator, reflection
@@ -23,6 +28,12 @@ from .model import wave_speeds
 
 # Largest dimension fed to the dense eigensolver.
 DENSE_DIM_CAP = 8000
+
+# numpy (eigvals) and scipy (cholesky, trmm, trsm) each bundle their own
+# OpenBLAS.  dlsym through an extension module's handle also searches the
+# libraries it links, so these handles reach the two thread counts.
+_NUMPY_BLAS = ctypes.CDLL(numpy.linalg._umath_linalg.__file__)
+_SCIPY_BLAS = ctypes.CDLL(scipy.linalg._flapack.__file__)
 
 
 @dataclass
@@ -32,7 +43,14 @@ class SpectrumReport:
     eigenvalues: np.ndarray
     max_real_part: float
     dim: int
-    symmetrized: bool
+    # (dimension, Cholesky-transformed) of the even and the odd half; empty
+    # when no dense solve ran
+    halves: tuple[tuple[int, bool], ...]
+
+    @property
+    def symmetrized(self) -> bool:
+        """Whether every dense half took the Cholesky transform."""
+        return bool(self.halves) and all(s for _, s in self.halves)
 
 
 def _sorted_eigs(vals: np.ndarray) -> np.ndarray:
@@ -57,14 +75,31 @@ def _parity_basis(perm: np.ndarray, sign: np.ndarray, parity: float) -> sp.csc_m
     return sp.csc_matrix((vals, (rows, cols)), shape=(perm.size, n_pairs + fixed.size))
 
 
-def _dense_eigvals(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
-    """(eigenvalues of a, whether the Cholesky transform by b was applied)."""
+def _half_spectrum(gen: Generator, q: sp.csc_matrix) -> tuple[np.ndarray, tuple[int, bool]]:
+    """(eigenvalues, (dimension, Cholesky-transformed)) of the half spanned by q.
+
+    B = R^T R is factored in place and A becomes R A R^-1 in place, and R
+    is dropped before the eigensolver copies A, so a half never holds more
+    than two of its blocks at once.
+    """
+    a = (q.T @ gen.A @ q).toarray(order="F")
+    b = (q.T @ gen.B @ q).toarray(order="F")
     try:
-        r = la.cholesky(b, lower=False)
+        r = la.cholesky(b, lower=False, overwrite_a=True)
     except la.LinAlgError:
-        return la.eigvals(a), False
-    tilde = la.solve_triangular(r.T, (r @ a).T, lower=True).T
-    return la.eigvals(tilde), True
+        symmetrized = False
+    else:
+        blas.dtrmm(1.0, r, a, overwrite_b=1)
+        blas.dtrsm(1.0, r, a, side=1, overwrite_b=1)
+        symmetrized = True
+        del r
+    del b
+    return np.linalg.eigvals(a).astype(complex), (a.shape[0], symmetrized)
+
+
+def _set_blas_threads(counts: list[int]) -> list[int]:
+    """Set the numpy and the scipy OpenBLAS thread counts; returns the previous ones."""
+    return [lib.openblas_set_num_threads_local(k) for lib, k in zip((_NUMPY_BLAS, _SCIPY_BLAS), counts)]
 
 
 def compute_spectrum(gen: Generator) -> SpectrumReport:
@@ -75,6 +110,21 @@ def compute_spectrum(gen: Generator) -> SpectrumReport:
     the even and the odd subspace; each half costs an eighth of the
     whole solve.  A generator that breaks the mirror is a bug in its
     assembly and raises ValueError.
+
+    The two halves run at the same time on min(2, BLAS thread cap)
+    worker threads, each on one BLAS thread: LAPACK's dgeev gains little
+    from a second BLAS thread, and two single-threaded solves side by
+    side keep both cores busy.  The halves call numpy's eigvals because
+    it releases the GIL for the whole solve; scipy's holds it.  Each half
+    transforms its blocks in place (see _half_spectrum), so the two
+    halves in flight hold about one full-size dense matrix between
+    them.  The bundled OpenBLAS builds use pthreads, where
+    openblas_set_num_threads_local sets the count for the whole process,
+    so the count is set to 1 around the pool and restored after it.  The
+    thread cap is read from the loaded library, so --threads 1 gives a
+    pool of one worker that solves the halves in turn.  Every dense
+    operation thus runs on one BLAS thread whatever the cap, and the
+    eigenvalues do not depend on it.
 
     Refuses dimensions beyond DENSE_DIM_CAP; use window_spectrum with a
     shift list for bigger assemblies.  If a half's energy Gram matrix is
@@ -93,16 +143,20 @@ def compute_spectrum(gen: Generator) -> SpectrumReport:
     for name, m in (("A", gen.A), ("B", gen.B)):
         if (p @ m != m @ p).nnz:
             raise ValueError(f"generator matrix {name} does not commute with the mirror x -> L - x")
-    halves = []
-    for parity in (1.0, -1.0):
-        q = _parity_basis(perm, sign, parity)
-        halves.append(_dense_eigvals((q.T @ gen.A @ q).toarray(), (q.T @ gen.B @ q).toarray()))
+    bases = [_parity_basis(perm, sign, parity) for parity in (1.0, -1.0)]
+    workers = min(2, _NUMPY_BLAS.scipy_openblas_get_num_threads64_())
+    saved = _set_blas_threads([1, 1])
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            halves = list(pool.map(lambda q: _half_spectrum(gen, q), bases))
+    finally:
+        _set_blas_threads(saved)
     vals = _sorted_eigs(np.concatenate([v for v, _ in halves]))
     return SpectrumReport(
         eigenvalues=vals,
         max_real_part=float(np.max(vals.real)),
         dim=n,
-        symmetrized=all(s for _, s in halves),
+        halves=tuple(h for _, h in halves),
     )
 
 
@@ -173,7 +227,7 @@ def window_spectrum(
         eigenvalues=vals,
         max_real_part=float(np.max(vals.real)) if len(vals) else float("nan"),
         dim=n,
-        symmetrized=False,
+        halves=(),
     )
 
 

@@ -5,13 +5,13 @@
 import dataclasses
 import functools
 import os
+import re
 import resource
 import subprocess
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import bresselab
@@ -53,6 +53,18 @@ def write(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
     p.write_text(text)
     return p
+
+
+def run_cli(cfg_path, out, threads):
+    """Run the CLI in a fresh interpreter at a BLAS thread cap; returns the output directory."""
+    env = {**os.environ, "PYTHONPATH": str(Path(bresselab.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bresselab.cli", str(cfg_path), "--out", str(out),
+         "--threads", str(threads)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode in (0, 1), proc.stderr
+    return out
 
 
 class TestConfigParsing:
@@ -282,21 +294,37 @@ class TestArtifacts:
         peak = max(float(row.split(",")[1]) for row in rows)
         assert peak <= 1e8, f"inv_sigma_min reaches {peak:.3e}"
 
-        env = {**os.environ, "PYTHONPATH": str(Path(bresselab.__file__).parents[1])}
         scans, growth = [], []
         for threads in (1, 2):
-            out = tmp_path / f"threads{threads}"
-            proc = subprocess.run(
-                [sys.executable, "-m", "bresselab.cli", str(cfg_path), "--out", str(out),
-                 "--threads", str(threads)],
-                capture_output=True, text=True, env=env,
-            )
-            assert proc.returncode in (0, 1), proc.stderr
-            scans.append(np.loadtxt(out / "resolvent.csv", delimiter=",", skiprows=1))
+            out = run_cli(cfg_path, tmp_path / f"threads{threads}", threads)
+            scans.append((out / "resolvent.csv").read_bytes())
             growth.append([line for line in (out / "report.txt").read_text().splitlines()
                            if line.startswith("resolvent growth:")])
-        np.testing.assert_allclose(scans[1], scans[0], rtol=1e-8, atol=0.0)
+        assert scans[0] == scans[1]
         assert growth[0] == growth[1] and len(growth[0]) == 1
+
+    @pytest.mark.parametrize("config", ["spectrum", "straight_full_report"])
+    def test_artifacts_do_not_depend_on_thread_count(self, tmp_path, config):
+        # every dense operation runs on one BLAS thread whatever --threads
+        # says, so the spectrum and the resolvent anchors taken from it
+        # come out byte for byte the same
+        if config == "spectrum":
+            text = GOOD.replace("experiment = simulate", "experiment = spectrum")
+        else:
+            text = (GOOD.replace("experiment = simulate", "experiment = full-report")
+                    .replace("params.ell = 1.0", "params.ell = 0")
+                    .replace("params.k2 = 1", "params.k2 = 2")
+                    .replace("sim.stride = 5\n", ""))
+        text = text.replace("disc.nx = 10", "disc.nx = 60").replace("disc.ns = 12", "disc.ns = 32")
+        cfg_path = write(tmp_path, text)
+        runs = [run_cli(cfg_path, tmp_path / f"threads{threads}", threads) for threads in (1, 2)]
+        names = sorted(p.name for p in runs[0].iterdir())
+        assert names == sorted(p.name for p in runs[1].iterdir())
+        assert "spectrum.csv" in names and "report.txt" in names
+        if config != "spectrum":
+            assert "resolvent.csv" in names
+        differ = [name for name in names if (runs[0] / name).read_bytes() != (runs[1] / name).read_bytes()]
+        assert differ == [], "these differ between --threads 1 and --threads 2"
 
     def test_spectrum_reports_windowed_abscissa(self, tmp_path):
         text = GOOD.replace("experiment = simulate", "experiment = spectrum")
@@ -305,5 +333,7 @@ class TestArtifacts:
         assert result.status == "pass"
         joined = "\n".join(result.report_lines)
         assert "windowed abscissa" in joined
+        dims = re.search(r"measured dim = (\d+) \(halves (\d+) \+ (\d+), both symmetrized\)", joined)
+        assert dims and int(dims[1]) == int(dims[2]) + int(dims[3])
         spectrum = (tmp_path / "out" / "spectrum.csv").read_text().splitlines()
         assert spectrum[0] == "re,im,branch"

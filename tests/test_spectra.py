@@ -72,6 +72,25 @@ class TestComputeSpectrum:
         rep = compute_spectrum(gen)
         assert np.max(np.abs(rep.eigenvalues.real)) < 1e-10
 
+    def test_halves_run_on_one_blas_thread_and_restore_the_count(self, monkeypatch):
+        # the bundled OpenBLAS sets its thread count for the whole process,
+        # so the solve pins it to 1 around its worker pool and must give the
+        # caller's count back afterwards
+        counts = (spectra._NUMPY_BLAS.scipy_openblas_get_num_threads64_,
+                  spectra._SCIPY_BLAS.scipy_openblas_get_num_threads)
+        seen = []
+        eigvals = np.linalg.eigvals
+
+        def counted(a):
+            seen.append([count() for count in counts])
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        before = [count() for count in counts]
+        compute_spectrum(make_gen())
+        assert [count() for count in counts] == before
+        assert seen == [[1, 1], [1, 1]]
+
     def test_dimension_cap_enforced(self):
         gen = make_gen(nx=400, ns=48)
         assert gen.dim > 8000
@@ -110,9 +129,14 @@ class TestMirrorSplit:
 
     def test_split_matches_whole_solve(self, bc, ell, a, nx):
         gen = mirror_case(bc, ell, a, nx)
-        split = compute_spectrum(gen).eigenvalues
+        rep = compute_spectrum(gen)
+        split = rep.eigenvalues
         whole = la.eigvals(gen.A.toarray())
         assert split.size == whole.size == gen.dim
+        assert sum(d for d, _ in rep.halves) == gen.dim
+        # only dnnd's odd half has a zero-energy mode; whether its
+        # Cholesky factorization breaks down on it is up to round-off
+        assert rep.halves[0][1] and (rep.halves[1][1] or bc == "dnnd")
         scale = np.abs(whole).max()
         # dnnd's zero-energy mean mode is a 2x2 Jordan block at 0, which
         # any solver spreads by about sqrt(eps * ||A||) ~ 1e-8 of scale:
@@ -133,7 +157,7 @@ class TestMirrorSplit:
         def solved(*args, **kwargs):
             raise AssertionError("a generator that breaks the mirror was solved")
 
-        monkeypatch.setattr(spectra.la, "eigvals", solved)
+        monkeypatch.setattr(spectra, "_half_spectrum", solved)
         with pytest.raises(ValueError, match="mirror"):
             compute_spectrum(broken)
 
