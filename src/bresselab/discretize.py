@@ -22,6 +22,7 @@ dissipativity argument needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -217,6 +218,21 @@ class Generator:
     @property
     def ns_active(self) -> int:
         return len(self.slice_weights)
+
+    @cached_property
+    def memory_form(self) -> sp.csr_matrix:
+        """D on the history block, with the memory rate eta^T D eta:
+
+            D = -(1/(2 ds)) kron(diag(w - w_next) + Delta^T diag(w) Delta, K),
+
+        where w_next shifts the slice weights up by one slice (0 past the
+        last), Delta is the slice difference with eta_0 = 0 and K is
+        slice_energy.
+        """
+        w, ns = self.slice_weights, self.ns_active
+        delta = sp.identity(ns) - sp.eye(ns, k=-1)
+        across = sp.diags(w - np.append(w[1:], 0.0)) + delta.T @ sp.diags(w) @ delta
+        return sp.kron((-0.5 / self.mgrid.ds) * across, self.slice_energy, format="csr")
 
 
 def _position_fields(bc: BoundaryCondition, include_w: bool) -> list[tuple[str, bool]]:
@@ -430,45 +446,41 @@ def _assemble(params, kernel, bc, grid, mgrid, include_w):
 # Energy and dissipation
 # =====================================================================
 
-def energy(gen: Generator, u: np.ndarray) -> float:
-    """E(u) = u^T B u / 2."""
-    u = np.asarray(u)
-    val = np.real(np.vdot(u, gen.B @ u))
-    return 0.5 * float(val)
+def energy(gen: Generator, u: np.ndarray) -> float | np.ndarray:
+    """E(u) = u^T B u / 2 of a real state, or of each row of an (m, dim) block."""
+    cols = np.ascontiguousarray(np.asarray(u).T)
+    e = 0.5 * _pair(cols, gen.B @ cols)
+    return float(e) if cols.ndim == 1 else e
 
 
-def dissipation_rates(gen: Generator, u: np.ndarray) -> tuple[float, float]:
+def dissipation_rates(gen: Generator, u: np.ndarray):
     """(memory rate, heat rate): the exact split of d/dt E along the flow.
 
-    The memory rate is the discrete realization of the continuous
-    dissipation functional (1/2) int int g' |eta_x|^2: the upwind
-    transport quadratic form after summation by parts in s.  Both terms
-    are nonpositive by construction and their sum equals
-    <A u, u>_B exactly for a real state u, which is what the
-    energy-balance checks rely on.
+    Takes a real state, or an (m, dim) block of states and then returns
+    one array per rate with a row per state.  The memory rate is
+    eta^T D eta with D = Generator.memory_form, the discrete realization
+    of the continuous dissipation functional (1/2) int int g' |eta_x|^2:
+    the upwind transport quadratic form after summation by parts in s.
+    The heat rate is -beta ||q||^2 in the midpoint mass.  Both are
+    nonpositive by construction and their sum equals <A u, u>_B exactly,
+    which is what the energy-balance checks rely on.
     """
-    u = np.asarray(u)
-    mem = 0.0
+    cols = np.ascontiguousarray(np.asarray(u).T)
+    mem, heat = np.zeros((2,) + cols.shape[1:])
     if gen.ns_active > 0:
-        ns, n_eta, ds = gen.ns_active, gen.n_eta, gen.mgrid.ds
-        w = gen.slice_weights
-        eta = u[gen.layout["eta"]].reshape(ns, n_eta)
-        k_eta = gen.slice_energy
-        keta = (k_eta @ eta.T).T
-        b = np.einsum("ij,ij->i", eta, keta)
-        diff = eta.copy()
-        diff[1:] -= eta[:-1]
-        # K (eta_k - eta_{k-1}) = K eta_k - K eta_{k-1}: no second product
-        kdiff = keta.copy()
-        kdiff[1:] -= keta[:-1]
-        d = np.einsum("ij,ij->i", diff, kdiff)
-        w_next = np.append(w[1:], 0.0)
-        mem = -0.5 / ds * float(np.sum((w - w_next) * b) + np.sum(w * d))
-    heat = 0.0
+        eta = cols[gen.layout["eta"]]
+        mem = _pair(eta, gen.memory_form @ eta)
     if gen.params.thermal:
-        q = u[gen.layout["q"]]
-        heat = -gen.params.beta * gen.grid.h * float(q @ q)
+        q = cols[gen.layout["q"]]
+        heat = -gen.params.beta * gen.grid.h * _pair(q, q)
+    if cols.ndim == 1:
+        return float(mem), float(heat)
     return mem, heat
+
+
+def _pair(cols: np.ndarray, image: np.ndarray) -> np.ndarray:
+    """Column-wise inner products of two (n,) or (n, m) arrays."""
+    return np.einsum("i...,i...->...", cols, image)
 
 
 def coordinates(gen: Generator) -> dict[str, np.ndarray]:

@@ -10,6 +10,7 @@ recorded dissipation rates without scheme slack.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,29 +36,120 @@ def default_dt(gen: Generator, cfl: float = 0.05) -> float:
     return cfl * gen.grid.h / float(np.sqrt(max(speeds)))
 
 
+# Most history slices one dense Toeplitz block of L^-1 covers.
+SLICE_BLOCK = 64
+# Most recorded states sampled as one block: at the evolve configs'
+# dimensions (up to 3201) a block and its images stay in cache.
+SAMPLE_BLOCK = 16
+
+
+class HistoryLadder(NamedTuple):
+    """Where a state keeps its history: the contiguous, slice-major block
+    eta of len(weights) slices, their weights W_k g(s_k) and their spacing
+    ds.  A generator without memory has the empty ladder NO_HISTORY."""
+
+    eta: slice
+    weights: np.ndarray
+    ds: float
+
+
+NO_HISTORY = HistoryLadder(slice(0, 0), np.zeros(0), 1.0)
+
+
+def history_ladder(gen: Generator) -> HistoryLadder:
+    if gen.ns_active == 0:
+        return NO_HISTORY
+    return HistoryLadder(gen.layout["eta"], gen.slice_weights, gen.mgrid.ds)
+
+
 class Stepper:
     """Prefactored implicit-midpoint stepper u -> (I - dt/2 A)^-1 (I + dt/2 A) u.
 
-    Since I + dt/2 A = 2 I - (I - dt/2 A), the same map is
-    u -> 2 (I - dt/2 A)^-1 u - u: one LU solve per step and no matvec.
+    Since I + dt/2 A = 2 I - M with M = I - dt/2 A, the same map is
+    u -> 2 M^-1 u - u, solved with the history ladder condensed out.
+    With h = dt/2, the history block of M is kron(L, I), where
+    L = (1 + a) I - a N is lower bidiagonal (a = h/ds, N the sub-diagonal
+    shift), and the history meets the front (positions, velocities, theta
+    and q) only through -h kron(1, J) and -h kron(w^T, F): J injects the
+    shear velocity into a slice and F is the force of one unit-weight
+    slice on the dpsi rows.  Eliminating the history leaves the front
+    Schur complement
 
-    The factor uses a minimum-degree ordering on the pattern of A + A^T
-    with diagonal pivots.  The matrix is structurally symmetric and every
-    diagonal entry is at least 1 (positions, velocities and theta 1,
-    history slices 1 + dt/(2 ds), q 1 + dt beta/(2 tau)), so eliminating
-    a position on its unit pivot forms the velocity Schur complement
-    I + dt^2/4 M^-1 K.  SuperLU's default COLAMD ordering with partial
-    pivoting fills the factor about 13 times more.
+        S = M_FF - h^2 (w^T b) F J,    b = L^-1 1,
+
+    with the pattern of the memory-free step matrix.  A step is one solve
+    with S, x_F = S^-1 (r_F + h F z) with z = c^T r_E and c = L^-T w,
+    and then x_E = L^-1 (r_E + h 1 (J x_F)^T), which is e + h b (J x_F)^T
+    with e = L^-1 r_E.  A generator without memory takes the same path
+    with the empty ladder, where S is M.
+
+    S is factored by the module-level splu with a minimum-degree ordering
+    on the pattern of S + S^T and diagonal pivots.  Every diagonal entry
+    of M_FF is at least 1 (positions, velocities and theta 1, q
+    1 + dt beta/(2 tau)), and the correction only adds a nonnegative
+    diagonal: w >= 0, b > 0, and -F J is a Gram form scaled by positive
+    masses.  So S keeps a diagonal of at least 1 and diagonal pivots stay
+    safe; eliminating a position on its unit pivot forms the velocity
+    Schur complement I + dt^2/4 M^-1 K.
+
+    L^-1 is lower-triangular Toeplitz with entries p^(i-j)/(1 + a),
+    p = a/(1 + a).  It is applied in dense blocks of at most SLICE_BLOCK
+    slices, each chained to the last slice of the block before by
+    e_block = L_m^-1 r_block + p^(j+1) e_(k0-1), so no ns x ns array is
+    formed.  c comes from the transposed recurrence, run as the same
+    solve on the reversed weights (L^T is L with the slice order reversed).
     """
 
-    def __init__(self, A: sp.spmatrix, dt: float):
+    def __init__(self, A: sp.spmatrix, dt: float, ladder: HistoryLadder = NO_HISTORY):
         if not (np.isfinite(dt) and dt > 0.0):
             raise ValueError(f"dt must be finite and > 0, got {dt}")
-        eye = sp.identity(A.shape[0], format="csc")
-        self._lu = splu((eye - 0.5 * dt * A).tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
+        h = 0.5 * dt
+        A = sp.csr_matrix(A)
+        eta, w = ladder.eta, ladder.weights
+        ns = w.size
+        n_eta = (eta.stop - eta.start) // ns if ns else 0
+        front = np.r_[0:eta.start, eta.stop:A.shape[0]]
+        self._eta, self._shape = eta, (ns, n_eta)
+
+        alpha = h / ladder.ds
+        ratio = alpha / (1.0 + alpha)
+        index = np.arange(min(ns, SLICE_BLOCK))
+        lag = index[:, np.newaxis] - index
+        self._toeplitz = np.where(lag >= 0, ratio ** np.abs(lag), 0.0) / (1.0 + alpha)
+        self._carry = ratio ** np.arange(1, self._toeplitz.shape[0] + 1)[:, np.newaxis]
+        b = self._solve_slices(np.ones((ns, 1)))[:, 0]
+        self._c = self._solve_slices(w[::-1, np.newaxis])[::-1, 0]
+
+        first = slice(eta.start, eta.start + n_eta)
+        a_front = A[front]
+        force = a_front[:, first] / (w[0] if ns else 1.0)
+        self._inject = h * A[first][:, front]
+        self._force = h * force
+        s = sp.identity(front.size) - h * a_front[:, front] - (h * (w @ b)) * (force @ self._inject)
+        self._lu = splu(s.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
+
+    def _solve_slices(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """L^-1 r along the slice axis (rows of r), in chained Toeplitz blocks."""
+        out = np.empty_like(r) if out is None else out
+        for k0 in range(0, r.shape[0], SLICE_BLOCK):
+            k1 = min(k0 + SLICE_BLOCK, r.shape[0])
+            n = k1 - k0
+            np.matmul(self._toeplitz[:n, :n], r[k0:k1], out=out[k0:k1])
+            if k0:
+                out[k0:k1] += self._carry[:n] * out[k0 - 1]
+        return out
 
     def advance(self, u: np.ndarray) -> np.ndarray:
-        return 2.0 * self._lu.solve(u) - u
+        e0, e1 = self._eta.start, self._eta.stop
+        r_eta = u[e0:e1].reshape(self._shape)
+        x_front = self._lu.solve(np.concatenate((u[:e0], u[e1:])) + self._force @ (self._c @ r_eta))
+        x = np.empty_like(u)
+        x[:e0] = x_front[:e0]
+        x[e1:] = x_front[e0:]
+        self._solve_slices(r_eta + self._inject @ x_front, out=x[e0:e1].reshape(self._shape))
+        x *= 2.0
+        x -= u
+        return x
 
 
 # =====================================================================
@@ -143,9 +235,11 @@ def simulate(
     """Advance u0 to time T, recording energy and dissipation rates.
 
     Records every stride-th step (plus the initial and final states).
-    T = 0 returns the single initial sample.  Any non-finite energy
-    aborts with the offending step index; that is the NaN guard for
-    blow-ups, not a recoverable condition.
+    T = 0 returns the single initial sample.  Recorded states are held
+    back in blocks of at most SAMPLE_BLOCK and each block goes through
+    energy and dissipation_rates at once.  Any non-finite energy aborts
+    with the offending step index; that is the NaN guard for blow-ups,
+    not a recoverable condition.
     """
     if T < 0.0 or not np.isfinite(T):
         raise ValueError(f"T must be finite and >= 0, got {T}")
@@ -155,37 +249,35 @@ def simulate(
     if u.shape != (gen.dim,):
         raise ValueError(f"state shape {u.shape} does not match dim {gen.dim}")
 
-    def sample(t, u):
-        e = energy(gen, u)
-        if not np.isfinite(e):
-            raise FloatingPointError(f"non-finite energy at t = {t}")
-        m, h = dissipation_rates(gen, u)
-        return e, m, h
-
-    ts, es, ms, hs = [], [], [], []
-    e, m, hrate = sample(0.0, u)
-    ts.append(0.0); es.append(e); ms.append(m); hs.append(hrate)
-    if T == 0.0:
-        return EnergyTrace(np.array(ts), np.array(es), np.array(ms), np.array(hs), u, 0.0)
-
-    if dt is None:
-        dt = default_dt(gen)
-    if dt > T:
-        dt = T
-    n_steps = int(np.ceil(T / dt - 1e-12))
-    dt = T / n_steps  # land exactly on T
-    stepper = Stepper(gen.A, dt)
-
-    for k in range(1, n_steps + 1):
-        u = stepper.advance(u)
-        if k % stride == 0 or k == n_steps:
-            t = k * dt
-            try:
-                e, m, hrate = sample(t, u)
-            except FloatingPointError as exc:
-                raise FloatingPointError(f"{exc} (step {k} of {n_steps})") from None
-            ts.append(t); es.append(e); ms.append(m); hs.append(hrate)
-    return EnergyTrace(np.array(ts), np.array(es), np.array(ms), np.array(hs), u, dt)
+    n_steps = 0
+    if T > 0.0:
+        dt = min(default_dt(gen) if dt is None else dt, T)
+        n_steps = int(np.ceil(T / dt - 1e-12))
+        dt = T / n_steps  # land exactly on T
+        stepper = Stepper(gen.A, dt, history_ladder(gen))
+    else:
+        dt = 0.0
+    steps = [k for k in range(n_steps + 1) if k % stride == 0 or k == n_steps]
+    E, mem, heat = np.empty((3, len(steps)))
+    # Fortran order makes the transpose of every full block C-contiguous:
+    # the column block that the sparse products in the samplers take.
+    block = np.empty((SAMPLE_BLOCK, gen.dim), order="F")
+    k = 0
+    for start in range(0, len(steps), SAMPLE_BLOCK):
+        chunk = steps[start:start + SAMPLE_BLOCK]
+        for row, target in enumerate(chunk):
+            while k < target:
+                u = stepper.advance(u)
+                k += 1
+            block[row] = u
+        rows, done = block[:len(chunk)], slice(start, start + len(chunk))
+        E[done] = energy(gen, rows)
+        bad = np.flatnonzero(~np.isfinite(E[done]))
+        if bad.size:
+            step = chunk[bad[0]]
+            raise FloatingPointError(f"non-finite energy at t = {step * dt} (step {step} of {n_steps})")
+        mem[done], heat[done] = dissipation_rates(gen, rows)
+    return EnergyTrace(np.array(steps) * dt, E, mem, heat, u, dt)
 
 
 # =====================================================================

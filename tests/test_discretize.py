@@ -170,6 +170,13 @@ class TestDissipativity:
         assert form == pytest.approx(mem + heat, rel=1e-10, abs=1e-12), (
             f"bc={bc}: <Au,u>_B = {form}, rates sum to {mem + heat}"
         )
+        # a block of states gives one rate per row
+        block = rng.standard_normal((5, gen.dim))
+        forms = np.einsum("ij,ij->i", block, (gen.B @ (gen.A @ block.T)).T)
+        mems, heats = dissipation_rates(gen, block)
+        assert mems.shape == heats.shape == (5,)
+        assert np.all(mems <= 0.0) and np.all(heats <= 0.0)
+        np.testing.assert_allclose(mems + heats, forms, rtol=1e-10, atol=1e-12)
 
     def test_elastic_has_no_heat_rate(self):
         gen = small_generator("ddd", ALL_ONES)

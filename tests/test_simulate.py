@@ -12,9 +12,12 @@ from bresselab.kernel import KernelSpec
 from bresselab.model import BoundaryCondition, PhysicalParams
 from bresselab.discretize import assemble_generator, build_memory_grid, build_spatial_grid
 from bresselab.simulate import (
+    SAMPLE_BLOCK,
+    SLICE_BLOCK,
     Stepper,
     collapsed_history_gap,
     default_dt,
+    history_ladder,
     initial_state,
     simulate,
 )
@@ -57,16 +60,24 @@ class TestInitialStates:
 
 class TestStepper:
     @pytest.mark.parametrize("dt", [None, 0.05, 0.5], ids=["default_dt", "0.05", "0.5"])
-    @pytest.mark.parametrize("nx", [6, 40])
+    @pytest.mark.parametrize("nx,ns,a", [
+        pytest.param(6, 12, 0.5, id="6"),
+        pytest.param(40, 12, 0.5, id="40"),
+        # four chained slice blocks
+        pytest.param(6, 4 * SLICE_BLOCK, 0.5, id="6-ns256"),
+        # no memory: the empty ladder, the whole state is the front
+        pytest.param(6, 12, 0.0, id="6-a0"),
+    ])
     @pytest.mark.parametrize("bc", ["ddd", "dddd", "dndd", "dnnd"])
-    def test_one_step_matches_dense_solve(self, bc, nx, dt):
-        # u+ = 2 (I - dt/2 A)^-1 u - u, on a state with every block filled
-        gen = make_gen(params=ALL_ONES if bc == "ddd" else THERMAL, nx=nx, bc=bc)
+    def test_one_step_matches_dense_solve(self, bc, nx, ns, a, dt):
+        # u+ = 2 (I - dt/2 A)^-1 u - u, on a state with every block filled,
+        # stepped with the history ladder condensed out
+        gen = make_gen(params=ALL_ONES if bc == "ddd" else THERMAL, a=a, nx=nx, ns=ns, bc=bc)
         dt = default_dt(gen) if dt is None else dt
         u = np.random.default_rng(5).standard_normal(gen.dim)
         m = np.eye(gen.dim) - 0.5 * dt * gen.A.toarray()
         want = 2.0 * np.linalg.solve(m, u) - u
-        got = Stepper(gen.A, dt).advance(u)
+        got = Stepper(gen.A, dt, history_ladder(gen)).advance(u)
         err = np.linalg.norm(got - want) / np.linalg.norm(want)
         assert err <= 1e-12, f"bc={bc} nx={nx} dt={dt}: one step off by {err:.3e}"
 
@@ -86,11 +97,48 @@ class TestStepper:
         monkeypatch.setattr(simulate_module, "splu", recording_splu)
         gen = make_gen(params=ALL_ONES if bc == "ddd" else THERMAL, nx=nx, ns=32, bc=bc)
         dt = 0.05
-        Stepper(gen.A, dt)
+        Stepper(gen.A, dt, history_ladder(gen))
         (lu,) = factors
         nnz = (sp.identity(gen.dim) - 0.5 * dt * gen.A).tocsc().nnz
         fill = lu.L.nnz + lu.U.nnz
         assert fill <= 2 * nnz, f"bc={bc} nx={nx}: factor holds {fill} nonzeros for {nnz}"
+
+
+class TestSampling:
+    def test_nan_inside_a_block_names_its_step(self, monkeypatch):
+        # the state goes non-finite at step 7; its block is sampled only
+        # after step 15, and the guard must still name step 7
+        advance = simulate_module.Stepper.advance
+        calls = []
+
+        def poisoned(self, u):
+            calls.append(1)
+            out = advance(self, u)
+            return np.full_like(out, np.nan) if len(calls) == 7 else out
+
+        monkeypatch.setattr(simulate_module.Stepper, "advance", poisoned)
+        gen = make_gen()
+        with pytest.raises(FloatingPointError, match=r"step 7 of 20\b"):
+            simulate(gen, initial_state(gen, "smooth_bump"), T=1.0, dt=0.05)
+
+    def test_stride_records_the_same_states_as_every_step(self):
+        # 40 steps: stride 1 samples 41 states in three blocks, stride 3
+        # the 15 states 0, 3, ..., 39, 40 in one
+        gen = make_gen(params=THERMAL, bc="dddd")
+        u0 = initial_state(gen, "random", seed=4)
+        dt, n = 0.05, 40
+        assert 41 > 2 * SAMPLE_BLOCK and 15 <= SAMPLE_BLOCK
+        every = simulate(gen, u0, T=n * dt, dt=dt)
+        strided = simulate(gen, u0, T=n * dt, dt=dt, stride=3)
+        steps = [*range(0, n, 3), n]
+        assert np.array_equal(strided.t, np.array(steps) * every.dt)
+        assert np.array_equal(strided.t, every.t[steps])
+        np.testing.assert_allclose(strided.E, every.E[steps], rtol=1e-14, atol=0.0)
+        for name in ("mem_rate", "heat_rate"):
+            want = getattr(every, name)[steps]
+            np.testing.assert_allclose(getattr(strided, name), want, rtol=0.0,
+                                       atol=1e-14 * np.max(np.abs(want)), err_msg=name)
+        assert np.array_equal(strided.final_state, every.final_state)
 
 
 class TestConservativeLimit:
