@@ -123,10 +123,15 @@ class Stepper:
         first = slice(eta.start, eta.start + n_eta)
         a_front = A[front]
         force = a_front[:, first] / (w[0] if ns else 1.0)
-        self._inject = h * A[first][:, front]
-        self._force = h * force
-        s = sp.identity(front.size) - h * a_front[:, front] - (h * (w @ b)) * (force @ self._inject)
+        inject = h * A[first][:, front]
+        s = sp.identity(front.size) - h * a_front[:, front] - (h * (w @ b)) * (force @ inject)
         self._lu = splu(s.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
+        # F and J touch only the dpsi rows and columns: kept as dense blocks
+        # on those, they cost a small matmul a step, not a sparse dispatch
+        self._force_rows = np.flatnonzero(force.getnnz(axis=1))
+        self._force = h * force[self._force_rows].toarray()
+        self._inject_cols = np.flatnonzero(inject.getnnz(axis=0))
+        self._inject = inject[:, self._inject_cols].toarray()
 
     def _solve_slices(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """L^-1 r along the slice axis (rows of r), in chained Toeplitz blocks."""
@@ -142,11 +147,13 @@ class Stepper:
     def advance(self, u: np.ndarray) -> np.ndarray:
         e0, e1 = self._eta.start, self._eta.stop
         r_eta = u[e0:e1].reshape(self._shape)
-        x_front = self._lu.solve(np.concatenate((u[:e0], u[e1:])) + self._force @ (self._c @ r_eta))
+        r_front = np.concatenate((u[:e0], u[e1:]))
+        r_front[self._force_rows] += self._force @ (self._c @ r_eta)
+        x_front = self._lu.solve(r_front)
         x = np.empty_like(u)
         x[:e0] = x_front[:e0]
         x[e1:] = x_front[e0:]
-        self._solve_slices(r_eta + self._inject @ x_front, out=x[e0:e1].reshape(self._shape))
+        self._solve_slices(r_eta + self._inject @ x_front[self._inject_cols], out=x[e0:e1].reshape(self._shape))
         x *= 2.0
         x -= u
         return x

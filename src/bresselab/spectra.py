@@ -20,7 +20,7 @@ import numpy.linalg._umath_linalg
 import scipy.linalg as la
 import scipy.linalg._flapack
 import scipy.sparse as sp
-from scipy.linalg import blas
+from scipy.linalg import lapack
 from scipy.sparse.linalg import eigs, splu
 
 from .discretize import Generator, reflection
@@ -29,11 +29,27 @@ from .model import wave_speeds
 # Largest dimension fed to the dense eigensolver.
 DENSE_DIM_CAP = 8000
 
-# numpy (eigvals) and scipy (cholesky, trmm, trsm) each bundle their own
+# numpy (dgeev) and scipy (cholesky_banded, dtbtrs) each bundle their own
 # OpenBLAS.  dlsym through an extension module's handle also searches the
 # libraries it links, so these handles reach the two thread counts.
 _NUMPY_BLAS = ctypes.CDLL(numpy.linalg._umath_linalg.__file__)
 _SCIPY_BLAS = ctypes.CDLL(scipy.linalg._flapack.__file__)
+
+# LAPACK dgeev of numpy's OpenBLAS: 64-bit integers, Fortran calling
+# convention with the two character lengths trailing.  ctypes releases
+# the GIL for the whole call.
+_I64 = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+_F64 = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS")
+_DGEEV = _NUMPY_BLAS.scipy_dgeev_64_
+_DGEEV.restype = None
+_DGEEV.argtypes = [
+    ctypes.c_char_p, ctypes.c_char_p,   # jobvl, jobvr
+    _I64, _F64, _I64,                   # n, a, lda
+    _F64, _F64,                         # wr, wi
+    _F64, _I64, _F64, _I64,             # vl, ldvl, vr, ldvr
+    _F64, _I64, _I64,                   # work, lwork, info
+    ctypes.c_size_t, ctypes.c_size_t,
+]
 
 
 @dataclass
@@ -62,39 +78,97 @@ def _parity_basis(perm: np.ndarray, sign: np.ndarray, parity: float) -> sp.csc_m
     """Orthonormal basis of the eigenspace P v = parity * v of a signed reflection.
 
     One column (e_i + parity * sign_i * e_perm[i]) / sqrt(2) per swapped
-    pair i < perm[i], and e_i for each fixed index whose sign is parity.
+    pair i < perm[i], and e_i for each fixed index whose sign is parity,
+    ordered by that lower index i.  A fixed middle index thus sits beside
+    the pairs of its own field (or history slice), which keeps the
+    restricted Gram matrix banded about as wide as one field.
     """
     idx = np.arange(perm.size)
-    pairs = np.flatnonzero(idx < perm)
-    fixed = np.flatnonzero((idx == perm) & (sign == parity))
-    n_pairs = pairs.size
+    lead = np.flatnonzero((idx < perm) | ((idx == perm) & (sign == parity)))
+    paired = lead != perm[lead]
+    col = np.arange(lead.size)
     r = np.sqrt(0.5)
-    rows = np.concatenate([pairs, perm[pairs], fixed])
-    cols = np.concatenate([np.arange(n_pairs), np.arange(n_pairs), n_pairs + np.arange(fixed.size)])
-    vals = np.concatenate([np.full(n_pairs, r), parity * r * sign[pairs], np.ones(fixed.size)])
-    return sp.csc_matrix((vals, (rows, cols)), shape=(perm.size, n_pairs + fixed.size))
+    rows = np.concatenate([lead, perm[lead[paired]]])
+    cols = np.concatenate([col, col[paired]])
+    vals = np.concatenate([np.where(paired, r, 1.0), parity * r * sign[lead[paired]]])
+    return sp.csc_matrix((vals, (rows, cols)), shape=(perm.size, lead.size))
+
+
+def _energy_factor(b: sp.spmatrix) -> np.ndarray | None:
+    """Upper banded Cholesky factor of a Gram matrix, or None if it is only semidefinite.
+
+    Returns R with B = R^T R in LAPACK's upper band storage (row kd holds
+    the diagonal).  The factor counts only when every pivot clears
+    r_ii^2 > n * eps * B_ii: LAPACK dpstrf's default rank tolerance on
+    the unit-diagonal scaling D^-1/2 B D^-1/2, whose pivots are
+    r_ii^2 / B_ii.  So round-off does not decide whether a semidefinite
+    matrix passes, and the tiny weights of the last history slices,
+    which scale whole diagonal blocks, do not fail a definite one.
+    """
+    n = b.shape[0]
+    b = b.tocoo()
+    upper = b.col >= b.row
+    row, col, val = b.row[upper], b.col[upper], b.data[upper]
+    kd = int(np.max(col - row))
+    ab = np.zeros((kd + 1, n))
+    ab[kd + row - col, col] = val
+    diag = ab[kd].copy()
+    try:
+        r = la.cholesky_banded(ab, overwrite_ab=True, lower=False)
+    except la.LinAlgError:
+        return None
+    return r if np.all(r[kd] ** 2 > n * np.finfo(float).eps * diag) else None
+
+
+def _eigvals_inplace(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the square Fortran-ordered float64 array a, overwriting it.
+
+    LAPACK dgeev without eigenvectors, after a workspace query.  A
+    non-finite entry, or a nonzero info from either call, raises
+    LinAlgError.
+    """
+    if not (a.dtype == np.float64 and a.flags.f_contiguous and a.ndim == 2 and a.shape[0] == a.shape[1]):
+        raise ValueError("dgeev takes a square Fortran-ordered float64 array")
+    # max and min propagate NaN and reach +-inf without an n x n mask
+    if not (np.isfinite(a.max()) and np.isfinite(a.min())):
+        raise la.LinAlgError("non-finite entry in the matrix handed to dgeev")
+    n = a.shape[0]
+    dim, lda, one = (np.array([k], dtype=np.int64) for k in (n, max(1, n), 1))
+    wr, wi, unused = np.empty(n), np.empty(n), np.empty(1)
+    head = (b"N", b"N", dim, a, lda, wr, wi, unused, one, unused, one)
+    work, lwork, info = np.empty(1), np.array([-1], dtype=np.int64), np.zeros(1, dtype=np.int64)
+    _DGEEV(*head, work, lwork, info, 1, 1)  # workspace query
+    if info[0] == 0:
+        lwork[0] = int(work[0])
+        work = np.empty(lwork[0])
+        _DGEEV(*head, work, lwork, info, 1, 1)
+    if info[0] != 0:
+        raise la.LinAlgError(f"dgeev failed with info = {info[0]}")
+    return wr + 1j * wi
 
 
 def _half_spectrum(gen: Generator, q: sp.csc_matrix) -> tuple[np.ndarray, tuple[int, bool]]:
     """(eigenvalues, (dimension, Cholesky-transformed)) of the half spanned by q.
 
-    B = R^T R is factored in place and A becomes R A R^-1 in place, and R
-    is dropped before the eigensolver copies A, so a half never holds more
-    than two of its blocks at once.
+    The half Gram matrix B = R^T R is factored banded (_energy_factor).
+    R A is formed as a sparse product and made dense once, in C order;
+    its transpose, Fortran-ordered in the same memory, becomes
+    (R A R^-1)^T = R^-T (R A)^T by one in-place banded triangular solve
+    (dtbtrs), and dgeev takes its eigenvalues in place.  So a half holds
+    one dense n x n array and nothing else of that size.  When B is only
+    semidefinite the half solves A itself, untransformed.
     """
-    a = (q.T @ gen.A @ q).toarray(order="F")
-    b = (q.T @ gen.B @ q).toarray(order="F")
-    try:
-        r = la.cholesky(b, lower=False, overwrite_a=True)
-    except la.LinAlgError:
-        symmetrized = False
-    else:
-        blas.dtrmm(1.0, r, a, overwrite_b=1)
-        blas.dtrsm(1.0, r, a, side=1, overwrite_b=1)
-        symmetrized = True
-        del r
-    del b
-    return np.linalg.eigvals(a).astype(complex), (a.shape[0], symmetrized)
+    a = (q.T @ gen.A @ q).tocsr()
+    r = _energy_factor(q.T @ gen.B @ q)
+    if r is None:
+        return _eigvals_inplace(a.toarray(order="F")), (a.shape[0], False)
+    kd = r.shape[0] - 1
+    upper = sp.dia_matrix((r[::-1], np.arange(kd + 1)), shape=a.shape).tocsr()
+    ra = (upper @ a).toarray()
+    x, info = lapack.dtbtrs(r, ra.T, uplo="U", trans="T", overwrite_b=1)
+    if info != 0:
+        raise la.LinAlgError(f"dtbtrs failed with info = {info}")
+    return _eigvals_inplace(x), (x.shape[0], True)
 
 
 def _set_blas_threads(counts: list[int]) -> list[int]:
@@ -114,23 +188,28 @@ def compute_spectrum(gen: Generator) -> SpectrumReport:
     The two halves run at the same time on min(2, BLAS thread cap)
     worker threads, each on one BLAS thread: LAPACK's dgeev gains little
     from a second BLAS thread, and two single-threaded solves side by
-    side keep both cores busy.  The halves call numpy's eigvals because
-    it releases the GIL for the whole solve; scipy's holds it.  Each half
-    transforms its blocks in place (see _half_spectrum), so the two
-    halves in flight hold about one full-size dense matrix between
-    them.  The bundled OpenBLAS builds use pthreads, where
-    openblas_set_num_threads_local sets the count for the whole process,
-    so the count is set to 1 around the pool and restored after it.  The
-    thread cap is read from the loaded library, so --threads 1 gives a
-    pool of one worker that solves the halves in turn.  Every dense
-    operation thus runs on one BLAS thread whatever the cap, and the
-    eigenvalues do not depend on it.
+    side keep both cores busy.  Each half factors its energy Gram matrix
+    banded, applies the Cholesky similarity with one sparse product and
+    one in-place banded triangular solve, and calls numpy's bundled
+    dgeev through ctypes, which releases the GIL for the whole solve
+    (see _half_spectrum).  A half thus holds one dense array of its own
+    size, a quarter of a full-size dense matrix, so the two halves in
+    flight hold about half of one full-size dense matrix.  The bundled
+    OpenBLAS builds use pthreads, where openblas_set_num_threads_local
+    sets the count for the whole process, so the count is set to 1
+    around the pool and restored after it.  The thread cap is read from
+    the loaded library, so --threads 1 gives a pool of one worker that
+    solves the halves in turn.  Every dense operation thus runs on one
+    BLAS thread whatever the cap, and the eigenvalues do not depend on
+    it.
 
     Refuses dimensions beyond DENSE_DIM_CAP; use window_spectrum with a
     shift list for bigger assemblies.  If a half's energy Gram matrix is
     only semidefinite (the Neumann-shear-and-longitudinal variant has a
     zero-energy mean mode, which is odd) that half skips the transform
-    and the report reads symmetrized=False.
+    and the report reads symmetrized=False; _energy_factor makes that
+    decision by a fixed pivot tolerance, not by whether round-off lets
+    the factorization through.
     """
     n = gen.dim
     if n > DENSE_DIM_CAP:

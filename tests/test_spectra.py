@@ -4,11 +4,13 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
+from scipy.linalg import blas
 
 from bresselab import spectra
 from bresselab.kernel import KernelSpec
@@ -79,17 +81,88 @@ class TestComputeSpectrum:
         counts = (spectra._NUMPY_BLAS.scipy_openblas_get_num_threads64_,
                   spectra._SCIPY_BLAS.scipy_openblas_get_num_threads)
         seen = []
-        eigvals = np.linalg.eigvals
+        eigvals = spectra._eigvals_inplace
 
         def counted(a):
             seen.append([count() for count in counts])
             return eigvals(a)
 
-        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        monkeypatch.setattr(spectra, "_eigvals_inplace", counted)
         before = [count() for count in counts]
         compute_spectrum(make_gen())
         assert [count() for count in counts] == before
         assert seen == [[1, 1], [1, 1]]
+
+    def test_failed_dgeev_raises_and_restores_the_count(self, monkeypatch):
+        # a nonzero info from LAPACK must surface as an error, never as
+        # the wr + i wi left in the output arrays
+        counts = (spectra._NUMPY_BLAS.scipy_openblas_get_num_threads64_,
+                  spectra._SCIPY_BLAS.scipy_openblas_get_num_threads)
+        calls = []
+
+        def failing(jobvl, jobvr, n, a, lda, wr, wi, vl, ldvl, vr, ldvr, work, lwork, info, *lengths):
+            calls.append(int(lwork[0]))
+            if lwork[0] == -1:
+                work[0] = 4 * n[0]
+            else:
+                wr[:], wi[:], info[0] = 0.0, 0.0, 3
+
+        monkeypatch.setattr(spectra, "_DGEEV", failing)
+        before = [count() for count in counts]
+        with pytest.raises(la.LinAlgError, match="info = 3"):
+            compute_spectrum(make_gen())
+        assert [count() for count in counts] == before
+        # each half queried the workspace, then solved with what it was told
+        assert sorted(c > 0 for c in calls) == [False, False, True, True]
+
+    def test_failed_workspace_query_raises(self, monkeypatch):
+        def failing(*args):
+            args[13][0] = -4
+
+        monkeypatch.setattr(spectra, "_DGEEV", failing)
+        with pytest.raises(la.LinAlgError, match="info = -4"):
+            spectra._eigvals_inplace(np.asfortranarray(np.eye(3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_block_raises(self, bad):
+        a = np.asfortranarray(np.diag([1.0, 2.0, 3.0]))
+        a[2, 0] = bad
+        with pytest.raises(la.LinAlgError, match="non-finite"):
+            spectra._eigvals_inplace(a)
+        # the same through a half, whose transformed block inherits it
+        gen = make_gen()
+        perm, sign = reflection(gen)
+        a_bad = gen.A.tolil()
+        a_bad[0, 0] = bad
+        broken = dataclasses.replace(gen, A=a_bad.tocsr())
+        q = spectra._parity_basis(perm, sign, 1.0)
+        with pytest.raises(la.LinAlgError, match="non-finite"):
+            spectra._half_spectrum(broken, q)
+
+    def test_dgeev_matches_numpy_and_takes_only_fortran_arrays(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((40, 40))
+        want = np.sort_complex(np.linalg.eigvals(a))
+        got = np.sort_complex(spectra._eigvals_inplace(np.asfortranarray(a)))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
+        with pytest.raises(ValueError, match="Fortran"):
+            spectra._eigvals_inplace(np.ascontiguousarray(a))
+
+    def test_one_half_holds_about_one_dense_block(self):
+        # a half's only n x n array is the transformed block that dgeev
+        # overwrites: no dense Gram, no dense R and no copy for the solver
+        gen = make_gen(nx=40, ns=32)
+        perm, sign = reflection(gen)
+        q = spectra._parity_basis(perm, sign, 1.0)
+        n = q.shape[1]
+        tracemalloc.start()
+        try:
+            _, (dim, symmetrized) = spectra._half_spectrum(gen, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (dim, symmetrized) == (n, True)
+        assert peak <= 1.3 * 8 * n * n, f"one half peaked at {peak / (8 * n * n):.2f} x 8 n^2"
 
     def test_dimension_cap_enforced(self):
         gen = make_gen(nx=400, ns=48)
@@ -116,6 +189,32 @@ MIRROR_CASES = [
 ]
 
 
+def dense_transform_eigvals(gen, q, symmetrized):
+    """Eigenvalues of one half by the dense Cholesky similarity R A R^-1.
+
+    The solver this package used before the banded transform: a dense
+    Gram matrix and a dense R, then numpy's eigvals on a copy.
+    """
+    a = (q.T @ gen.A @ q).toarray(order="F")
+    if symmetrized:
+        r = la.cholesky((q.T @ gen.B @ q).toarray(), lower=False)
+        blas.dtrmm(1.0, r, a, overwrite_b=1)
+        blas.dtrsm(1.0, r, a, side=1, overwrite_b=1)
+    return np.linalg.eigvals(a)
+
+
+def assert_same_spectrum(got, want, rtol, label):
+    # dnnd's zero-energy mean mode is a 2x2 Jordan block at 0, which any
+    # solver spreads by about sqrt(eps * ||A||) ~ 1e-8 of scale: compare
+    # that cluster by count, every other eigenvalue by value
+    scale = np.abs(want).max()
+    zero = 1e-6 * scale
+    assert np.sum(np.abs(got) <= zero) == np.sum(np.abs(want) <= zero), label
+    for v in want[np.abs(want) > zero]:
+        d = np.min(np.abs(got - v))
+        assert d <= rtol * scale, f"{label}: eigenvalue {v} missing (gap {d:.2e})"
+
+
 @pytest.mark.parametrize("bc,ell,a,nx", MIRROR_CASES)
 class TestMirrorSplit:
     def test_assembly_commutes_exactly_with_reflection(self, bc, ell, a, nx):
@@ -134,18 +233,33 @@ class TestMirrorSplit:
         whole = la.eigvals(gen.A.toarray())
         assert split.size == whole.size == gen.dim
         assert sum(d for d, _ in rep.halves) == gen.dim
-        # only dnnd's odd half has a zero-energy mode; whether its
-        # Cholesky factorization breaks down on it is up to round-off
-        assert rep.halves[0][1] and (rep.halves[1][1] or bc == "dnnd")
-        scale = np.abs(whole).max()
-        # dnnd's zero-energy mean mode is a 2x2 Jordan block at 0, which
-        # any solver spreads by about sqrt(eps * ||A||) ~ 1e-8 of scale:
-        # compare that cluster by count, every other eigenvalue by value
-        zero = 1e-6 * scale
-        assert np.sum(np.abs(split) <= zero) == np.sum(np.abs(whole) <= zero)
-        for v in whole[np.abs(whole) > zero]:
-            d = np.min(np.abs(split - v))
-            assert d <= 1e-8 * scale, f"eigenvalue {v} missing (gap {d:.2e})"
+        # only dnnd's odd half has a zero-energy mode, and a fixed pivot
+        # tolerance, not round-off, keeps it out of the transform
+        assert [s for _, s in rep.halves] == [True, bc != "dnnd"]
+        assert_same_spectrum(split, whole, 1e-8, bc)
+
+    def test_halves_match_the_dense_transform(self, bc, ell, a, nx):
+        gen = mirror_case(bc, ell, a, nx)
+        perm, sign = reflection(gen)
+        for parity in (1.0, -1.0):
+            q = spectra._parity_basis(perm, sign, parity)
+            got, (_, symmetrized) = spectra._half_spectrum(gen, q)
+            want = dense_transform_eigvals(gen, q, symmetrized)
+            assert got.size == want.size == q.shape[1]
+            assert_same_spectrum(got, want, 1e-10, f"{bc} parity {parity:+.0f}")
+
+    def test_half_gram_stays_banded(self, bc, ell, a, nx):
+        for n in (nx, 40, 41):
+            gen = mirror_case(bc, ell, a, n)
+            perm, sign = reflection(gen)
+            # phi meets w across the psi block; at dnnd psi and w each
+            # carry two free end nodes, which widens the band by one
+            limit = n + 2 + (bc == "dnnd")
+            for parity in (1.0, -1.0):
+                q = spectra._parity_basis(perm, sign, parity)
+                b = (q.T @ gen.B @ q).tocoo()
+                kd = int(np.max(np.abs(b.col - b.row)))
+                assert kd <= limit, f"{bc} nx={n}: half Gram band {kd} of {q.shape[1]}"
 
     def test_mirror_breaking_generator_raises(self, bc, ell, a, nx, monkeypatch):
         gen = mirror_case(bc, ell, a, nx)
