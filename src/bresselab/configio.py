@@ -8,6 +8,7 @@ is the classic way those go wrong.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -186,10 +187,11 @@ def parse_config(path) -> ExperimentConfig:
     def positive(key, val, strict=True):
         if val is None:
             return val
-        if (strict and val <= 0) or (not strict and val < 0):
+        if not math.isfinite(val) or (strict and val <= 0) or (not strict and val < 0):
             line = lines_of.get(key)
             where = f"line {line}: " if line else ""
-            raise ConfigError(f"{where}{key} must be {'>' if strict else '>='} 0, got {val}")
+            bound = ">" if strict else ">="
+            raise ConfigError(f"{where}{key} must be finite and {bound} 0, got {val}")
         return val
 
     cfg = ExperimentConfig(
@@ -205,7 +207,7 @@ def parse_config(path) -> ExperimentConfig:
         stride=positive("sim.stride", int(values.get("sim.stride", 1))),
         ic=ic,
         ic_index=positive("sim.ic_index", int(values.get("sim.ic_index", 1))),
-        seed=int(values.get("sim.seed", 0)),
+        seed=positive("sim.seed", int(values.get("sim.seed", 0)), strict=False),
         lambda_min=positive("spec.lambda_min", float(values.get("spec.lambda_min", 5.0))),
         lambda_max=positive("spec.lambda_max", values.get("spec.lambda_max")),
         config_id=path.stem,

@@ -12,6 +12,7 @@ multiple of machine precision times ||A||, which is what makes the
 from __future__ import annotations
 
 import ctypes
+import mmap
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -147,6 +148,15 @@ def _eigvals_inplace(a: np.ndarray) -> np.ndarray:
     return wr + 1j * wi
 
 
+def _dense_block(n: int, order: str) -> np.ndarray:
+    """An n x n float64 array over a fresh anonymous mapping, zero-filled.
+
+    The mapping is unmapped when the last array over it dies, so the
+    block never lingers in a malloc arena (see compute_spectrum).
+    """
+    return np.ndarray((n, n), dtype=np.float64, buffer=mmap.mmap(-1, 8 * n * n), order=order)
+
+
 def _half_spectrum(gen: Generator, q: sp.csc_matrix) -> tuple[np.ndarray, tuple[int, bool]]:
     """(eigenvalues, (dimension, Cholesky-transformed)) of the half spanned by q.
 
@@ -156,15 +166,19 @@ def _half_spectrum(gen: Generator, q: sp.csc_matrix) -> tuple[np.ndarray, tuple[
     (R A R^-1)^T = R^-T (R A)^T by one in-place banded triangular solve
     (dtbtrs), and dgeev takes its eigenvalues in place.  So a half holds
     one dense n x n array and nothing else of that size.  When B is only
-    semidefinite the half solves A itself, untransformed.
+    semidefinite the half solves A itself, untransformed, in a
+    Fortran-ordered block.  The block is its own anonymous mapping
+    (_dense_block), returned to the system when the half returns, so
+    repeated spectra in one process do not keep freed blocks resident.
     """
     a = (q.T @ gen.A @ q).tocsr()
     r = _energy_factor(q.T @ gen.B @ q)
+    n = a.shape[0]
     if r is None:
-        return _eigvals_inplace(a.toarray(order="F")), (a.shape[0], False)
+        return _eigvals_inplace(a.toarray(out=_dense_block(n, "F"))), (n, False)
     kd = r.shape[0] - 1
     upper = sp.dia_matrix((r[::-1], np.arange(kd + 1)), shape=a.shape).tocsr()
-    ra = (upper @ a).toarray()
+    ra = (upper @ a).toarray(out=_dense_block(n, "C"))
     x, info = lapack.dtbtrs(r, ra.T, uplo="U", trans="T", overwrite_b=1)
     if info != 0:
         raise la.LinAlgError(f"dtbtrs failed with info = {info}")
@@ -194,7 +208,11 @@ def compute_spectrum(gen: Generator) -> SpectrumReport:
     dgeev through ctypes, which releases the GIL for the whole solve
     (see _half_spectrum).  A half thus holds one dense array of its own
     size, a quarter of a full-size dense matrix, so the two halves in
-    flight hold about half of one full-size dense matrix.  The bundled
+    flight hold about half of one full-size dense matrix.  Each block is
+    an anonymous mapping of its own and is unmapped when its half
+    returns: from malloc, a freed block of that size would raise glibc's
+    mmap threshold, and the next spectrum's blocks would come from an
+    arena that keeps them resident after the call.  The bundled
     OpenBLAS builds use pthreads, where openblas_set_num_threads_local
     sets the count for the whole process, so the count is set to 1
     around the pool and restored after it.  The thread cap is read from

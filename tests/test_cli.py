@@ -134,6 +134,23 @@ class TestCliExitCodes:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("changes,line", [
+        ({"sim.T = 100": "sim.T = inf"}, 13),
+        ({"sim.T = 100": "sim.T = nan"}, 13),
+        ({"sim.dt = 0.05": "sim.dt = nan"}, 14),
+        ({"sim.dt = 0.05": "sim.dt = inf"}, 14),
+        ({"sim.stride = 5": "sim.stride = 5\nsim.ic = random\nsim.seed = -1"}, 17),
+    ], ids=["T_inf", "T_nan", "dt_nan", "dt_inf", "negative_seed"])
+    def test_out_of_range_value_exits_two_with_its_line(self, tmp_path, capsys, changes, line):
+        text = GOOD
+        for old, new in changes.items():
+            text = text.replace(old, new)
+        out = tmp_path / "out"
+        code = main([str(write(tmp_path, text)), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: line {line}: ")
+        assert list(out.glob("*")) == []
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         code = main([str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "out")])
         assert code == 2

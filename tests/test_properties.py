@@ -1,0 +1,83 @@
+# =====================================================================
+# Property tests over random admissible generators
+# =====================================================================
+#
+# Parameters, kernels, boundary variants and grids are drawn at random
+# (derandomized, so every run sees the same cases).  Each property is an
+# identity of the assembly that must hold for every admissible draw, not
+# only for the hand-picked cases of test_discretize and test_spectra.
+
+import numpy as np
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bresselab.discretize import (
+    assemble_generator,
+    build_memory_grid,
+    build_spatial_grid,
+    dissipation_rates,
+    reflection,
+)
+from bresselab.kernel import KernelSpec
+from bresselab.model import BoundaryCondition, PhysicalParams
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=30)
+
+
+def _coefficient(lo=0.2, hi=5.0):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def generators(draw):
+    """A generator at random admissible parameters, kernel, bc and grid."""
+    bc = draw(st.sampled_from(["ddd", "dddd", "dndd", "dnnd"]))
+    params = PhysicalParams(
+        rho1=draw(_coefficient()), rho2=draw(_coefficient()), k1=draw(_coefficient()),
+        k2=draw(_coefficient()), k3=draw(_coefficient()), ell=draw(_coefficient(0.0, 3.0)),
+        thermal=bc != "ddd", rho3=draw(_coefficient()), delta=draw(_coefficient(0.0, 3.0)),
+        tau=draw(_coefficient(0.1, 5.0)), beta=draw(_coefficient(0.0, 3.0)),
+    )
+    # a / c < k2: the damped shear modulus k2 - a/c stays positive
+    c = draw(_coefficient())
+    kern = KernelSpec(draw(st.floats(0.0, 0.95)) * params.k2 * c, c)
+    nx, ns = draw(st.integers(4, 12)), draw(st.integers(8, 16))
+    return assemble_generator(
+        params, kern, BoundaryCondition.from_string(bc),
+        build_spatial_grid(params.length, nx), build_memory_grid(kern, ns=ns),
+    )
+
+
+@PROPERTY
+@given(generators())
+def test_energy_form_is_nonpositive(gen):
+    # B A + A^T B <= 0: at the top eigenvector v of that symmetric matrix
+    # the form <A v, v>_B = v^T (B A + A^T B) v / 2 must clear the bound
+    # that test_quadratic_form_nonpositive puts on random states
+    ba = (gen.B @ gen.A).toarray()
+    lam, vecs = np.linalg.eigh(ba + ba.T)
+    v = vecs[:, -1]
+    assert 0.5 * lam[-1] <= 1e-12 * float(v @ (gen.B @ v)), (
+        f"{gen.bc.value}: lambda_max(BA + A^T B) = {lam[-1]:.3e}"
+    )
+
+
+@PROPERTY
+@given(generators())
+def test_assembly_commutes_exactly_with_reflection(gen):
+    perm, sign = reflection(gen)
+    p = sp.csr_matrix((sign, (np.arange(gen.dim), perm)), shape=(gen.dim, gen.dim))
+    for name, m in (("A", gen.A), ("B", gen.B)):
+        assert (p @ m != m @ p).nnz == 0, f"{gen.bc.value}: {name} breaks the mirror"
+
+
+@PROPERTY
+@given(generators(), st.integers(0, 2**32 - 1))
+def test_rate_split_matches_quadratic_form_on_a_block(gen, seed):
+    block = np.random.default_rng(seed).standard_normal((4, gen.dim))
+    forms = np.einsum("ij,ij->i", block, (gen.B @ (gen.A @ block.T)).T)
+    mems, heats = dissipation_rates(gen, block)
+    assert mems.shape == heats.shape == (4,)
+    assert np.all(mems <= 0.0) and np.all(heats <= 0.0)
+    np.testing.assert_allclose(mems + heats, forms, rtol=1e-10, atol=1e-12)

@@ -4,7 +4,15 @@
 
 import dataclasses
 import itertools
+import mmap
+import os
+import subprocess
+import sys
+import textwrap
+import threading
 import tracemalloc
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +20,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 from scipy.linalg import blas
 
+import bresselab
 from bresselab import spectra
 from bresselab.kernel import KernelSpec
 from bresselab.model import BoundaryCondition, PhysicalParams
@@ -148,9 +157,20 @@ class TestComputeSpectrum:
         with pytest.raises(ValueError, match="Fortran"):
             spectra._eigvals_inplace(np.ascontiguousarray(a))
 
-    def test_one_half_holds_about_one_dense_block(self):
+    def test_one_half_holds_about_one_dense_block(self, monkeypatch):
         # a half's only n x n array is the transformed block that dgeev
-        # overwrites: no dense Gram, no dense R and no copy for the solver
+        # overwrites: no dense Gram, no dense R and no copy for the solver.
+        # tracemalloc does not see the block's own mapping, so the mapped
+        # bytes are counted beside the traced peak
+        mapped = []
+        dense_block = spectra._dense_block
+
+        def recorded(n, order):
+            block = dense_block(n, order)
+            mapped.append(len(block.base))
+            return block
+
+        monkeypatch.setattr(spectra, "_dense_block", recorded)
         gen = make_gen(nx=40, ns=32)
         perm, sign = reflection(gen)
         q = spectra._parity_basis(perm, sign, 1.0)
@@ -162,7 +182,63 @@ class TestComputeSpectrum:
         finally:
             tracemalloc.stop()
         assert (dim, symmetrized) == (n, True)
-        assert peak <= 1.3 * 8 * n * n, f"one half peaked at {peak / (8 * n * n):.2f} x 8 n^2"
+        assert mapped == [8 * n * n]
+        total = peak + sum(mapped)
+        assert total <= 1.3 * 8 * n * n, f"one half peaked at {total / (8 * n * n):.2f} x 8 n^2"
+
+    @pytest.mark.parametrize("bc", ["ddd", "dnnd"])
+    def test_each_half_maps_and_releases_its_own_block(self, bc, monkeypatch):
+        # every half takes one fresh anonymous mapping, hands that very
+        # memory to dgeev (f2py and ctypes make no hidden copy) and lets it
+        # go when it returns; dnnd's odd half takes the untransformed path
+        maps, blocks, shared = [], {}, []
+        dense_block, eigvals = spectra._dense_block, spectra._eigvals_inplace
+
+        def recorded_block(n, order):
+            block = dense_block(n, order)
+            assert isinstance(block.base, mmap.mmap)
+            maps.append(weakref.ref(block.base))
+            blocks[threading.get_ident()] = weakref.ref(block)
+            return block
+
+        def recorded_eigvals(a):
+            shared.append(np.shares_memory(a, blocks[threading.get_ident()]()))
+            return eigvals(a)
+
+        monkeypatch.setattr(spectra, "_dense_block", recorded_block)
+        monkeypatch.setattr(spectra, "_eigvals_inplace", recorded_eigvals)
+        rep = compute_spectrum(mirror_case(bc, 1.0, 0.5, 13))
+        assert [s for _, s in rep.halves] == [True, bc != "dnnd"]
+        assert len(maps) == 2 and shared == [True, True]
+        assert all(ref() is None for ref in maps), "a half's mapping outlived the spectrum"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmRSS from /proc")
+    def test_repeated_spectra_keep_the_resident_size_flat(self):
+        # a freed malloc block of a half's size raises glibc's mmap
+        # threshold, so from the second spectrum on the blocks would come
+        # from an arena and stay resident (about 8.6 MiB at this size);
+        # mapped blocks go back to the system after every call
+        probe = textwrap.dedent("""
+            from bresselab.discretize import assemble_generator, build_memory_grid, build_spatial_grid
+            from bresselab.kernel import KernelSpec
+            from bresselab.model import BoundaryCondition, PhysicalParams
+            from bresselab.spectra import compute_spectrum
+
+            params = PhysicalParams(rho1=1, rho2=1, k1=1, k2=2, k3=1, ell=1.0)
+            kern = KernelSpec(0.5, 1.0)
+            gen = assemble_generator(params, kern, BoundaryCondition.DDD_ELASTIC,
+                                     build_spatial_grid(1.0, 40), build_memory_grid(kern, ns=32))
+            for _ in range(4):
+                compute_spectrum(gen)
+                with open("/proc/self/status") as status:
+                    print(next(line.split()[1] for line in status if line.startswith("VmRSS:")))
+        """)
+        env = {**os.environ, "PYTHONPATH": str(Path(bresselab.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True, env=env)
+        rss = [int(kib) / 1024 for kib in out.stdout.split()]
+        assert len(rss) == 4
+        assert max(abs(r - rss[0]) for r in rss[1:]) <= 2.0, f"VmRSS after each call (MiB): {rss}"
 
     def test_dimension_cap_enforced(self):
         gen = make_gen(nx=400, ns=48)
