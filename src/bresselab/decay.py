@@ -42,7 +42,7 @@ def _fit_decay(model: str, t: np.ndarray, E: np.ndarray, window: tuple[float, fl
     mask = (t >= window[0]) & (t <= window[1])
     tw, ew = t[mask], E[mask]
     if tw.size < 4:
-        raise ValueError(f"{model} fit needs at least 4 samples in the window, got {tw.size}")
+        raise ValueError(f"{model} fit needs at least 4 samples in the window [{window[0]:g}, {window[1]:g}], got {tw.size}")
     if np.any(ew <= 0.0):
         raise ValueError(f"{model} fit needs strictly positive energies in the window")
     e0 = float(np.max(ew))

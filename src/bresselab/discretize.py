@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -234,6 +235,10 @@ class Generator:
         across = sp.diags(w - np.append(w[1:], 0.0)) + delta.T @ sp.diags(w) @ delta
         return sp.kron((-0.5 / self.mgrid.ds) * across, self.slice_energy, format="csr")
 
+    @property
+    def history_ladder(self) -> HistoryLadder:
+        return HistoryLadder(self.layout["eta"], self.slice_weights, self.mgrid.ds) if self.ns_active else NO_HISTORY
+
 
 def _position_fields(bc: BoundaryCondition, include_w: bool) -> list[tuple[str, bool]]:
     """Ordered (name, is_neumann) pairs of the position fields."""
@@ -440,6 +445,86 @@ def _assemble(params, kernel, bc, grid, mgrid, include_w):
         slice_weights=np.asarray(w_slices, dtype=float),
         slice_energy=slice_energy,
     )
+
+
+# =====================================================================
+# The history ladder, condensed out of z I - A
+# =====================================================================
+
+# Most history slices one dense Toeplitz block of L^-1 covers.
+SLICE_BLOCK = 64
+
+
+class HistoryLadder(NamedTuple):
+    """The slice-major history block eta, its slice weights W_k g(s_k) and spacing ds."""
+
+    eta: slice
+    weights: np.ndarray
+    ds: float
+
+
+NO_HISTORY = HistoryLadder(slice(0, 0), np.zeros(0), 1.0)
+
+
+class SliceSolver:
+    """L^-1 along the slice axis for L = d I - o N, N the sub-diagonal shift; d, o may be complex.
+
+    L^-1 is lower-triangular Toeplitz with column p^k / d, p = o / d,
+    applied in dense blocks of at most SLICE_BLOCK slices, each chained
+    to the last slice before it by e_block = L_m^-1 r_block + p^(j+1) e_(k0-1).
+    """
+
+    def __init__(self, diag: complex, off: complex, ns: int):
+        p = off / diag
+        index = np.arange(min(ns, SLICE_BLOCK))
+        lag = index[:, np.newaxis] - index
+        self._toeplitz = np.where(lag >= 0, p ** np.abs(lag), 0.0) / diag
+        self._carry = p ** np.arange(1, self._toeplitz.shape[0] + 1)[:, np.newaxis]
+
+    def solve(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """L^-1 r along the rows of r, into out when given."""
+        out = np.empty(r.shape, np.result_type(r, self._toeplitz)) if out is None else out
+        for k0 in range(0, r.shape[0], SLICE_BLOCK):
+            n = min(SLICE_BLOCK, r.shape[0] - k0)
+            np.matmul(self._toeplitz[:n, :n], r[k0:k0 + n], out=out[k0:k0 + n])
+            if k0:
+                out[k0:k0 + n] += self._carry[:n] * out[k0 - 1]
+        return out
+
+
+class CondensedFront:
+    """z I - A with its history ladder eliminated: the front operator T(z).
+
+    The front is every entry outside the ladder (positions, velocities,
+    theta and q).  The history block of z I - A is kron(L(z), I) with
+    L(z) = (z + 1/ds) I - (1/ds) N, and it meets the front only through
+    -kron(1, J), J injecting the shear velocity into a slice, and
+    -kron(w^T, F), F the force of one unit-weight slice on the dpsi rows.
+    Eliminating it leaves
+
+        T(z) = z I - A_FF - sigma(z) F J,    T'(z) = I - sigma'(z) F J,
+
+    with sigma(z) = w^T L(z)^-1 1 the ladder's memory transfer function.
+    Off z = -1/ds, z is an eigenvalue of A exactly when T(z) is singular.
+    """
+
+    def __init__(self, A: sp.spmatrix, ladder: HistoryLadder = NO_HISTORY):
+        A, (eta, self.weights, self.ds) = sp.csr_matrix(A), ladder
+        ns = self.weights.size
+        self.eta, self.n_eta = eta, (eta.stop - eta.start) // ns if ns else 0
+        self.index = np.r_[0:eta.start, eta.stop:A.shape[0]]
+        first, a_front = slice(eta.start, eta.start + self.n_eta), A[self.index]
+        self.a_ff, self.inject = a_front[:, self.index], A[first][:, self.index]
+        self.force = a_front[:, first] / (self.weights[0] if ns else 1.0)
+        self.fj = self.force @ self.inject
+
+    def at(self, z: complex) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        """(T(z), T'(z)), with sigma'(z) = -w^T L(z)^-2 1."""
+        slices = SliceSolver(z + 1.0 / self.ds, 1.0 / self.ds, self.weights.size)
+        b = slices.solve(np.ones((self.weights.size, 1)))
+        sigma, slope = self.weights @ b[:, 0], -(self.weights @ slices.solve(b)[:, 0])
+        eye = sp.identity(self.index.size)
+        return z * eye - self.a_ff - sigma * self.fj, eye - slope * self.fj
 
 
 # =====================================================================

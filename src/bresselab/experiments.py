@@ -238,10 +238,20 @@ def run_simulate(ctx: _RunContext, out_dir: Path) -> list[Path]:
     )
 
     fits_rows = []
-    fe = fp = None
-    if cfg.T >= 10.0 and np.all(trace.E > 0.0):
-        fe = fit_exponential(trace.t, trace.E)
-        fp = fit_polynomial(trace.t, trace.E)
+    fe = fp = skipped = None
+    nonpositive = np.flatnonzero(trace.E <= 0.0)
+    if cfg.T < 10.0:
+        skipped = "trace too short for decay fits, needs T >= 10"
+    elif nonpositive.size:
+        skipped = f"non-positive energy at t = {trace.t[nonpositive[0]]:g}"
+    else:
+        try:
+            fe, fp = fit_exponential(trace.t, trace.E), fit_polynomial(trace.t, trace.E)
+        except ValueError as exc:  # a recording too coarse for a fit window
+            skipped = str(exc)
+    if skipped:
+        rep.say(f"fit: skipped ({skipped})")
+    else:
         fits_rows.append(("exponential", fe.amplitude, fe.rate, fe.r2, fe.window))
         fits_rows.append(("polynomial", fp.amplitude, fp.rate, fp.r2, fp.window))
         rep.say(
@@ -250,8 +260,6 @@ def run_simulate(ctx: _RunContext, out_dir: Path) -> list[Path]:
         rep.say(
             f"fit[polynomial]: C = {_f(fp.amplitude)} alpha = {_f(fp.rate)} r2 = {fp.r2:.6f}"
         )
-    else:
-        rep.say("fit: skipped (trace too short for decay fits, needs T >= 10)")
 
     if report is not None and fe is not None:
         regime = report.regime

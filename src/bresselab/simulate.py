@@ -10,14 +10,17 @@ recorded dissipation rates without scheme slack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .discretize import (
+    NO_HISTORY,
+    CondensedFront,
     Generator,
+    HistoryLadder,
+    SliceSolver,
     _place_blocks,
     _position_fields,
     coordinates,
@@ -36,113 +39,48 @@ def default_dt(gen: Generator, cfl: float = 0.05) -> float:
     return cfl * gen.grid.h / float(np.sqrt(max(speeds)))
 
 
-# Most history slices one dense Toeplitz block of L^-1 covers.
-SLICE_BLOCK = 64
 # Most recorded states sampled as one block: at the evolve configs'
 # dimensions (up to 3201) a block and its images stay in cache.
 SAMPLE_BLOCK = 16
 
 
-class HistoryLadder(NamedTuple):
-    """Where a state keeps its history: the contiguous, slice-major block
-    eta of len(weights) slices, their weights W_k g(s_k) and their spacing
-    ds.  A generator without memory has the empty ladder NO_HISTORY."""
-
-    eta: slice
-    weights: np.ndarray
-    ds: float
-
-
-NO_HISTORY = HistoryLadder(slice(0, 0), np.zeros(0), 1.0)
-
-
-def history_ladder(gen: Generator) -> HistoryLadder:
-    if gen.ns_active == 0:
-        return NO_HISTORY
-    return HistoryLadder(gen.layout["eta"], gen.slice_weights, gen.mgrid.ds)
-
-
 class Stepper:
     """Prefactored implicit-midpoint stepper u -> (I - dt/2 A)^-1 (I + dt/2 A) u.
 
-    Since I + dt/2 A = 2 I - M with M = I - dt/2 A, the same map is
-    u -> 2 M^-1 u - u, solved with the history ladder condensed out.
-    With h = dt/2, the history block of M is kron(L, I), where
-    L = (1 + a) I - a N is lower bidiagonal (a = h/ds, N the sub-diagonal
-    shift), and the history meets the front (positions, velocities, theta
-    and q) only through -h kron(1, J) and -h kron(w^T, F): J injects the
-    shear velocity into a slice and F is the force of one unit-weight
-    slice on the dpsi rows.  Eliminating the history leaves the front
-    Schur complement
-
-        S = M_FF - h^2 (w^T b) F J,    b = L^-1 1,
-
-    with the pattern of the memory-free step matrix.  A step is one solve
-    with S, x_F = S^-1 (r_F + h F z) with z = c^T r_E and c = L^-T w,
-    and then x_E = L^-1 (r_E + h 1 (J x_F)^T), which is e + h b (J x_F)^T
-    with e = L^-1 r_E.  A generator without memory takes the same path
-    with the empty ladder, where S is M.
+    Since I + dt/2 A = 2 I - M with M = I - dt/2 A = h (z I - A) at
+    z = 1/h, h = dt/2, the map is u -> 2 M^-1 u - u, solved with the
+    history ladder condensed out (discretize.CondensedFront).  The front
+    Schur complement S = h T(1/h) = M_FF - h sigma(1/h) F J is factored
+    once.  A step is x_F = S^-1 (r_F + h F c^T r_E), with c = L^-T w, and
+    then x_E = L^-1 (r_E + h 1 (J x_F)^T), where L = h L(1/h) =
+    (1 + a) I - a N (a = h/ds) is the history block of M on one slice; c
+    is the same slice solve run on the reversed weights.  Without memory
+    the ladder is empty and S is M.
 
     S is factored by the module-level splu with a minimum-degree ordering
     on the pattern of S + S^T and diagonal pivots.  Every diagonal entry
     of M_FF is at least 1 (positions, velocities and theta 1, q
     1 + dt beta/(2 tau)), and the correction only adds a nonnegative
-    diagonal: w >= 0, b > 0, and -F J is a Gram form scaled by positive
-    masses.  So S keeps a diagonal of at least 1 and diagonal pivots stay
-    safe; eliminating a position on its unit pivot forms the velocity
-    Schur complement I + dt^2/4 M^-1 K.
-
-    L^-1 is lower-triangular Toeplitz with entries p^(i-j)/(1 + a),
-    p = a/(1 + a).  It is applied in dense blocks of at most SLICE_BLOCK
-    slices, each chained to the last slice of the block before by
-    e_block = L_m^-1 r_block + p^(j+1) e_(k0-1), so no ns x ns array is
-    formed.  c comes from the transposed recurrence, run as the same
-    solve on the reversed weights (L^T is L with the slice order reversed).
+    diagonal (sigma(1/h) > 0, and -F J is a Gram form scaled by positive
+    masses), so diagonal pivots stay safe.
     """
 
     def __init__(self, A: sp.spmatrix, dt: float, ladder: HistoryLadder = NO_HISTORY):
         if not (np.isfinite(dt) and dt > 0.0):
             raise ValueError(f"dt must be finite and > 0, got {dt}")
         h = 0.5 * dt
-        A = sp.csr_matrix(A)
-        eta, w = ladder.eta, ladder.weights
-        ns = w.size
-        n_eta = (eta.stop - eta.start) // ns if ns else 0
-        front = np.r_[0:eta.start, eta.stop:A.shape[0]]
-        self._eta, self._shape = eta, (ns, n_eta)
-
-        alpha = h / ladder.ds
-        ratio = alpha / (1.0 + alpha)
-        index = np.arange(min(ns, SLICE_BLOCK))
-        lag = index[:, np.newaxis] - index
-        self._toeplitz = np.where(lag >= 0, ratio ** np.abs(lag), 0.0) / (1.0 + alpha)
-        self._carry = ratio ** np.arange(1, self._toeplitz.shape[0] + 1)[:, np.newaxis]
-        b = self._solve_slices(np.ones((ns, 1)))[:, 0]
-        self._c = self._solve_slices(w[::-1, np.newaxis])[::-1, 0]
-
-        first = slice(eta.start, eta.start + n_eta)
-        a_front = A[front]
-        force = a_front[:, first] / (w[0] if ns else 1.0)
-        inject = h * A[first][:, front]
-        s = sp.identity(front.size) - h * a_front[:, front] - (h * (w @ b)) * (force @ inject)
-        self._lu = splu(s.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
+        front = CondensedFront(A, ladder)
+        w = ladder.weights
+        self._eta, self._shape = ladder.eta, (w.size, front.n_eta)
+        self._slices = SliceSolver(1.0 + h / ladder.ds, h / ladder.ds, w.size)
+        self._c = self._slices.solve(w[::-1, np.newaxis])[::-1, 0]
+        self._lu = splu((h * front.at(1.0 / h)[0]).tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
         # F and J touch only the dpsi rows and columns: kept as dense blocks
         # on those, they cost a small matmul a step, not a sparse dispatch
-        self._force_rows = np.flatnonzero(force.getnnz(axis=1))
-        self._force = h * force[self._force_rows].toarray()
-        self._inject_cols = np.flatnonzero(inject.getnnz(axis=0))
-        self._inject = inject[:, self._inject_cols].toarray()
-
-    def _solve_slices(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """L^-1 r along the slice axis (rows of r), in chained Toeplitz blocks."""
-        out = np.empty_like(r) if out is None else out
-        for k0 in range(0, r.shape[0], SLICE_BLOCK):
-            k1 = min(k0 + SLICE_BLOCK, r.shape[0])
-            n = k1 - k0
-            np.matmul(self._toeplitz[:n, :n], r[k0:k1], out=out[k0:k1])
-            if k0:
-                out[k0:k1] += self._carry[:n] * out[k0 - 1]
-        return out
+        self._force_rows = np.flatnonzero(front.force.getnnz(axis=1))
+        self._force = h * front.force[self._force_rows].toarray()
+        self._inject_cols = np.flatnonzero(front.inject.getnnz(axis=0))
+        self._inject = h * front.inject[:, self._inject_cols].toarray()
 
     def advance(self, u: np.ndarray) -> np.ndarray:
         e0, e1 = self._eta.start, self._eta.stop
@@ -153,7 +91,7 @@ class Stepper:
         x = np.empty_like(u)
         x[:e0] = x_front[:e0]
         x[e1:] = x_front[e0:]
-        self._solve_slices(r_eta + self._inject @ x_front[self._inject_cols], out=x[e0:e1].reshape(self._shape))
+        self._slices.solve(r_eta + self._inject @ x_front[self._inject_cols], out=x[e0:e1].reshape(self._shape))
         x *= 2.0
         x -= u
         return x
@@ -261,7 +199,7 @@ def simulate(
         dt = min(default_dt(gen) if dt is None else dt, T)
         n_steps = int(np.ceil(T / dt - 1e-12))
         dt = T / n_steps  # land exactly on T
-        stepper = Stepper(gen.A, dt, history_ladder(gen))
+        stepper = Stepper(gen.A, dt, gen.history_ladder)
     else:
         dt = 0.0
     steps = [k for k in range(n_steps + 1) if k % stride == 0 or k == n_steps]
@@ -337,26 +275,18 @@ def collapsed_history_gap(gen: Generator, u0: np.ndarray, T: float, dt: float) -
     returns ||(phi,psi) - (phi,psi)_red||_h / ||(phi,psi)_red||_h at
     time T.  First order in the history resolution ds by construction.
     """
-    a_red, layout_red = assemble_collapsed_generator(gen)
-    u_red = np.zeros(a_red.shape[0])
-    n_front = layout_red["m"].start
-    u_red[:n_front] = u0[:n_front]
     if np.max(np.abs(np.asarray(u0[gen.layout["eta"]]))) > 0.0:
         raise ValueError("cross-check starts from vanishing history")
-
-    n_steps = max(1, int(round(T / dt)))
-
-    trace = simulate(gen, u0, T=T, dt=T / n_steps, stride=n_steps)
-    u_full = trace.final_state
-
-    stepper = Stepper(a_red, T / n_steps)
+    a_red, layout_red = assemble_collapsed_generator(gen)
+    n_front, n_steps = layout_red["m"].start, max(1, int(round(T / dt)))
+    u_full, u_red = np.asarray(u0, dtype=float), np.zeros(a_red.shape[0])
+    u_red[:n_front] = u_full[:n_front]
+    full, red = Stepper(gen.A, T / n_steps, gen.history_ladder), Stepper(a_red, T / n_steps)
     for _ in range(n_steps):
-        u_red = stepper.advance(u_red)
+        u_full, u_red = full.advance(u_full), red.advance(u_red)
 
     stop = gen.layout["psi"].stop
-    ref = u_red[:stop]
-    diff = u_full[:stop] - ref
-    denom = float(np.linalg.norm(ref))
+    denom = float(np.linalg.norm(u_red[:stop]))
     if denom == 0.0:
         raise ValueError("collapsed trajectory vanished; gap undefined")
-    return float(np.linalg.norm(diff)) / denom
+    return float(np.linalg.norm(u_full[:stop] - u_red[:stop])) / denom

@@ -22,9 +22,9 @@ import scipy.linalg as la
 import scipy.linalg._flapack
 import scipy.sparse as sp
 from scipy.linalg import lapack
-from scipy.sparse.linalg import eigs, splu
+from scipy.sparse.linalg import splu
 
-from .discretize import Generator, reflection
+from .discretize import CondensedFront, Generator, reflection
 from .model import wave_speeds
 
 # Largest dimension fed to the dense eigensolver.
@@ -60,19 +60,12 @@ class SpectrumReport:
     eigenvalues: np.ndarray
     max_real_part: float
     dim: int
-    # (dimension, Cholesky-transformed) of the even and the odd half; empty
-    # when no dense solve ran
-    halves: tuple[tuple[int, bool], ...]
+    halves: tuple[tuple[int, bool], ...]  # (dimension, Cholesky-transformed) of the even and the odd half
 
     @property
     def symmetrized(self) -> bool:
         """Whether every dense half took the Cholesky transform."""
-        return bool(self.halves) and all(s for _, s in self.halves)
-
-
-def _sorted_eigs(vals: np.ndarray) -> np.ndarray:
-    order = np.lexsort((vals.real, vals.imag, np.abs(vals.imag)))
-    return vals[order]
+        return all(s for _, s in self.halves)
 
 
 def _parity_basis(perm: np.ndarray, sign: np.ndarray, parity: float) -> sp.csc_matrix:
@@ -151,8 +144,9 @@ def _eigvals_inplace(a: np.ndarray) -> np.ndarray:
 def _dense_block(n: int, order: str) -> np.ndarray:
     """An n x n float64 array over a fresh anonymous mapping, zero-filled.
 
-    The mapping is unmapped when the last array over it dies, so the
-    block never lingers in a malloc arena (see compute_spectrum).
+    The mapping is unmapped when the last array over it dies.  A block
+    from malloc would raise glibc's mmap threshold when freed, and later
+    blocks of its size would come from an arena that keeps them resident.
     """
     return np.ndarray((n, n), dtype=np.float64, buffer=mmap.mmap(-1, 8 * n * n), order=order)
 
@@ -167,9 +161,8 @@ def _half_spectrum(gen: Generator, q: sp.csc_matrix) -> tuple[np.ndarray, tuple[
     (dtbtrs), and dgeev takes its eigenvalues in place.  So a half holds
     one dense n x n array and nothing else of that size.  When B is only
     semidefinite the half solves A itself, untransformed, in a
-    Fortran-ordered block.  The block is its own anonymous mapping
-    (_dense_block), returned to the system when the half returns, so
-    repeated spectra in one process do not keep freed blocks resident.
+    Fortran-ordered block.  The block is an anonymous mapping of its own
+    (_dense_block), unmapped when the half returns.
     """
     a = (q.T @ gen.A @ q).tocsr()
     r = _energy_factor(q.T @ gen.B @ q)
@@ -200,40 +193,29 @@ def compute_spectrum(gen: Generator) -> SpectrumReport:
     assembly and raises ValueError.
 
     The two halves run at the same time on min(2, BLAS thread cap)
-    worker threads, each on one BLAS thread: LAPACK's dgeev gains little
-    from a second BLAS thread, and two single-threaded solves side by
-    side keep both cores busy.  Each half factors its energy Gram matrix
-    banded, applies the Cholesky similarity with one sparse product and
-    one in-place banded triangular solve, and calls numpy's bundled
-    dgeev through ctypes, which releases the GIL for the whole solve
-    (see _half_spectrum).  A half thus holds one dense array of its own
-    size, a quarter of a full-size dense matrix, so the two halves in
-    flight hold about half of one full-size dense matrix.  Each block is
-    an anonymous mapping of its own and is unmapped when its half
-    returns: from malloc, a freed block of that size would raise glibc's
-    mmap threshold, and the next spectrum's blocks would come from an
-    arena that keeps them resident after the call.  The bundled
-    OpenBLAS builds use pthreads, where openblas_set_num_threads_local
-    sets the count for the whole process, so the count is set to 1
-    around the pool and restored after it.  The thread cap is read from
-    the loaded library, so --threads 1 gives a pool of one worker that
-    solves the halves in turn.  Every dense operation thus runs on one
-    BLAS thread whatever the cap, and the eigenvalues do not depend on
-    it.
+    worker threads, each on one BLAS thread: dgeev gains little from a
+    second BLAS thread, and two single-threaded solves side by side keep
+    both cores busy.  A half holds one dense array of its own size, a
+    quarter of a full-size dense matrix, in a mapping of its own
+    (_half_spectrum).  The bundled OpenBLAS builds set their thread
+    count for the whole process, so it is set to 1 around the pool and
+    restored after it.  The pool size is read from the loaded library,
+    so --threads 1 solves the halves in turn, and the eigenvalues do not
+    depend on the cap.  Leaving the pool waits for both halves, so a half
+    that raises cannot cancel the other before a worker picks it up.
 
-    Refuses dimensions beyond DENSE_DIM_CAP; use window_spectrum with a
-    shift list for bigger assemblies.  If a half's energy Gram matrix is
-    only semidefinite (the Neumann-shear-and-longitudinal variant has a
-    zero-energy mean mode, which is odd) that half skips the transform
-    and the report reads symmetrized=False; _energy_factor makes that
-    decision by a fixed pivot tolerance, not by whether round-off lets
-    the factorization through.
+    Refuses dimensions beyond DENSE_DIM_CAP; for bigger assemblies,
+    refine_modes finds the eigenvalues near given seeds.  A half whose
+    energy Gram matrix is only semidefinite (dnnd's odd half, with its
+    zero-energy mean mode) skips the transform and the report reads
+    symmetrized=False; _energy_factor decides that by a fixed pivot
+    tolerance, not by whether round-off lets the factorization through.
     """
     n = gen.dim
     if n > DENSE_DIM_CAP:
         raise ValueError(
             f"dimension {n} exceeds the dense eigensolver cap {DENSE_DIM_CAP}; "
-            "use window_spectrum instead"
+            "refine seeds with refine_modes instead"
         )
     perm, sign = reflection(gen)
     p = sp.csr_matrix((sign, (np.arange(n), perm)), shape=(n, n))
@@ -245,10 +227,12 @@ def compute_spectrum(gen: Generator) -> SpectrumReport:
     saved = _set_blas_threads([1, 1])
     try:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            halves = list(pool.map(lambda q: _half_spectrum(gen, q), bases))
+            futures = [pool.submit(_half_spectrum, gen, q) for q in bases]
+        halves = [f.result() for f in futures]
     finally:
         _set_blas_threads(saved)
-    vals = _sorted_eigs(np.concatenate([v for v, _ in halves]))
+    vals = np.concatenate([v for v, _ in halves])
+    vals = vals[np.lexsort((vals.real, vals.imag, np.abs(vals.imag)))]
     return SpectrumReport(
         eigenvalues=vals,
         max_real_part=float(np.max(vals.real)),
@@ -257,75 +241,66 @@ def compute_spectrum(gen: Generator) -> SpectrumReport:
     )
 
 
-def window_spectrum(
-    gen: Generator,
-    im_max: float,
-    shifts: list[complex],
-    re_min: float = -5.0,
-    k_per_shift: int = 40,
-    im_min: float = 0.0,
-    tol: float = 0.0,
-) -> SpectrumReport:
-    """Eigenvalues with im_min <= |Im| <= im_max by shift-inverted Arnoldi.
+# Newton steps refine_modes allows one seed, the relative eigenvalue update
+# at which it has converged, and the relative gap under which two converged
+# seeds reached the same mode.
+REFINE_MAX_ITER = 30
+REFINE_TOL = 1e-10
+MODE_MERGE_RTOL = 1e-8
 
-    One Arnoldi run of k_per_shift eigenvalues at each given shift, from
-    a fixed start vector, so the sweep is deterministic.  A shift that
-    does not converge raises ArpackNoConvergence instead of being
-    dropped.  Duplicates from overlapping windows are merged; conjugates
-    are added so the report looks like the dense one.
 
-    Shifts belong where the wanted modes sit (for example at
-    characteristic root predictions), away from the memory-transport
-    cluster near the real axis: those eigenvalues are packed thousands
-    deep in a tiny disc, and any shift whose k-th nearest eigenvalue
-    falls inside the cluster stalls the Arnoldi restarts indefinitely.
-    Raising im_min drops eigenvalues of that cluster picked up anyway;
-    tol relaxes the ARPACK convergence target from machine precision for
-    the same reason.
+@dataclass
+class ModeRefinement:
+    """One refined eigenvalue per seed, in seed order; nothing is dropped."""
+
+    modes: np.ndarray
+    residuals: np.ndarray     # ||T(z) x|| / ||x|| at the returned mode and vector
+    iterations: np.ndarray
+    converged: np.ndarray
+    duplicate_of: np.ndarray  # index of an earlier converged seed at the same mode, else -1
+
+    @property
+    def distinct(self) -> np.ndarray:
+        """The converged modes, each once."""
+        return self.modes[self.converged & (self.duplicate_of < 0)]
+
+
+def refine_modes(gen: Generator, seeds) -> ModeRefinement:
+    """Eigenvalues of the generator near each seed, by nonlinear inverse iteration on T(z).
+
+    T(z) has the history ladder condensed out (discretize.CondensedFront),
+    so every solve is front-sized and the ladder's transport cluster never
+    enters.  Per seed: 4 steps of plain inverse iteration with T(seed) from
+    a fixed start vector, then (Ruhe, SIAM J. Numer. Anal. 10, 1973) solve
+    T(z) u = T'(z) x, set z <- z - x^H x / x^H u and x <- u / ||u||, until
+    the update is at most REFINE_TOL * max(1, |z|).  A seed short of that
+    after REFINE_MAX_ITER steps returns its last iterate, not converged.
     """
-    n = gen.dim
-    # Complex cast is load-bearing: ARPACK cannot recover eigenvalues of a
-    # real operator from a complex-shifted run unless the factorization is
-    # done in complex arithmetic (the real-OP path returns unusable zeros
-    # when eigenvectors are not requested).
-    a = gen.A.tocsc().astype(complex)
-    v0 = np.full(n, 1.0) + 1e-3 * np.sin(np.arange(n))
-    found: list[complex] = []
-    for sig in shifts:
-        vals = eigs(
-            a,
-            k=min(k_per_shift, n - 2),
-            sigma=complex(sig),
-            which="LM",
-            v0=v0,
-            return_eigenvectors=False,
-            maxiter=3000,
-            tol=tol,
-        )
-        found.extend(complex(v) for v in vals)
-    kept: list[complex] = []
-    for v in found:
-        if v.imag < -1e-9:
-            v = v.conjugate()
-        if not (v.real >= re_min - 1.0 and abs(v.imag) <= im_max * 1.05 + 1.0):
-            continue
-        if abs(v.imag) < im_min - 1e-9:
-            continue
-        if any(abs(v - u) <= 1e-8 * max(1.0, abs(u)) for u in kept):
-            continue
-        kept.append(v)
-    full = []
-    for v in kept:
-        full.append(v)
-        if v.imag > 1e-9:
-            full.append(v.conjugate())
-    vals = _sorted_eigs(np.asarray(full, dtype=complex))
-    return SpectrumReport(
-        eigenvalues=vals,
-        max_real_part=float(np.max(vals.real)) if len(vals) else float("nan"),
-        dim=n,
-        halves=(),
-    )
+    front = CondensedFront(gen.A, gen.history_ladder)
+    start = np.random.default_rng(0).standard_normal(front.index.size).astype(complex)
+    seeds = np.asarray(seeds, dtype=complex).ravel()
+    modes, residuals, iterations = seeds.copy(), np.empty(seeds.size), np.zeros(seeds.size, int)
+    converged, duplicate_of = np.zeros(seeds.size, bool), np.full(seeds.size, -1)
+    for j, z in enumerate(seeds):
+        t, t_prime = front.at(z)
+        lu, x = splu(t.tocsc()), start
+        for _ in range(4):
+            x = lu.solve(x)
+            x /= np.linalg.norm(x)
+        for iterations[j] in range(1, REFINE_MAX_ITER + 1):
+            u = lu.solve(t_prime @ x)
+            step = 1.0 / np.vdot(x, u)
+            z, x = z - step, u / np.linalg.norm(u)
+            t, t_prime = front.at(z)
+            converged[j] = abs(step) <= REFINE_TOL * max(1.0, abs(z))
+            if converged[j] or not np.isfinite(z):
+                break
+            lu = splu(t.tocsc())
+        modes[j], residuals[j] = z, np.linalg.norm(t @ x)
+        same = np.flatnonzero(converged[:j] & (np.abs(modes[:j] - z) <= MODE_MERGE_RTOL * max(1.0, abs(z))))
+        if converged[j] and same.size:
+            duplicate_of[j] = same[0]
+    return ModeRefinement(modes, residuals, iterations, converged, duplicate_of)
 
 
 # =====================================================================

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 from scipy.integrate import quad
 
 from bresselab.characteristic import (
@@ -29,15 +30,20 @@ from bresselab.discretize import (
 )
 from bresselab.kernel import KernelSpec, evaluate, laplace, total_mass
 from bresselab.model import BoundaryCondition, PhysicalParams, Regime, classify_regime
-from bresselab.simulate import collapsed_history_gap, initial_state, simulate
+from bresselab.simulate import (
+    assemble_collapsed_generator,
+    collapsed_history_gap,
+    initial_state,
+    simulate,
+)
 from bresselab.spectra import (
     abscissa_window,
     compute_spectrum,
     envelope_anchors,
     fit_growth_exponent,
+    refine_modes,
     resolution_cap,
     resolvent_scan,
-    window_spectrum,
 )
 
 ELASTIC_KERNEL = KernelSpec(0.5, 1.0)
@@ -301,6 +307,11 @@ def _strip_roots(params, kernel):
     return sorted(roots, key=lambda z: z.imag)
 
 
+def _in_strip(z):
+    # beam modes live right of the memory-transport cluster (Re > -c/2)
+    return z.real > -0.5 and 0.5 <= z.imag <= 20.0
+
+
 def test_criterion_08_spectrum_matches_characteristic_roots(acceptance):
     t0 = time.monotonic()
     gen = assemble_timoshenko_generator(
@@ -308,17 +319,14 @@ def test_criterion_08_spectrum_matches_characteristic_roots(acceptance):
         build_memory_grid(ELASTIC_KERNEL, ns=64),
     )
     roots = _strip_roots(STRAIGHT, ELASTIC_KERNEL)
-    report = window_spectrum(
-        gen, im_max=20.0, re_min=-0.5, k_per_shift=3, tol=1e-8,
-        im_min=0.5, shifts=roots,
-    )
-    # beam modes live right of the memory-transport cluster (Re > -c/2)
-    beam = [
-        z for z in report.eigenvalues
-        if z.real > -0.5 and 0.5 <= z.imag <= 20.0
-    ]
+    # seeds: the roots, and the strip modes of the exact collapsed memory
+    # column (dimension 1000, solved dense); both refined on the ladder
+    a_red, _ = assemble_collapsed_generator(gen)
+    collapsed = [z for z in la.eigvals(a_red.toarray()) if _in_strip(z)]
+    refined = refine_modes(gen, roots + collapsed)
+    beam = [z for z in refined.distinct if _in_strip(z)]
     worst_re = worst_im = 0.0
-    ok = len(beam) > 0 and len(roots) > 0
+    ok = len(beam) > 0 and len(roots) > 0 and bool(refined.converged.all())
     for z in beam:
         near = min(roots, key=lambda r: abs(r - z))
         worst_re = max(worst_re, abs(near.real - z.real))
@@ -330,8 +338,8 @@ def test_criterion_08_spectrum_matches_characteristic_roots(acceptance):
     elapsed = time.monotonic() - t0
     ok = ok and worst_re <= 0.05 and worst_im <= 0.02 and elapsed <= 300.0
     detail = (
-        f"nx=200 ns=64, strip |Im| <= 20: {len(beam)} discrete modes vs "
-        f"{len(roots)} analytic roots, max dRe {worst_re:.4f} (<= 0.05), "
+        f"nx=200 ns=64, strip |Im| <= 20: {len(beam)} distinct converged ladder modes "
+        f"from {refined.modes.size} seeds vs {len(roots)} analytic roots, max dRe {worst_re:.4f} (<= 0.05), "
         f"max dIm {100 * worst_im:.2f}% (<= 2%), {elapsed:.0f}s (<= 300s)"
     )
     acceptance(8, ok, detail)

@@ -196,6 +196,38 @@ class TestCliExitCodes:
         # the config is refused before any section writes an artifact
         assert list(out.glob("*")) == []
 
+    @pytest.mark.parametrize("changes,skip", [
+        # 3 steps of 33.3 at stride 5: only t = 0 and t = 100 are recorded
+        ({"sim.dt = 0.05": "sim.dt = 40"}, "exponential fit needs at least 4 samples in the window [40, 100], got 1"),
+        # states every 30 time units: 3 samples in [40, 100]
+        ({"sim.stride = 5": "sim.stride = 600"},
+         "exponential fit needs at least 4 samples in the window [40, 100], got 3"),
+    ], ids=["dt_40", "stride_600"])
+    def test_coarse_recording_reports_a_skipped_fit(self, tmp_path, changes, skip):
+        text = GOOD
+        for old, new in changes.items():
+            text = text.replace(old, new)
+        proc = subprocess.run(
+            [sys.executable, "-m", "bresselab.cli", str(write(tmp_path, text)), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(bresselab.__file__).parents[1])},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert f"fit: skipped ({skip})" in proc.stdout.splitlines()
+        assert "Traceback" not in proc.stdout + proc.stderr
+
+    def test_non_positive_energy_names_its_time_in_the_skipped_fit(self, tmp_path, monkeypatch):
+        simulate = experiments.simulate
+
+        def zeroed(*args, **kwargs):
+            trace = simulate(*args, **kwargs)
+            trace.E[3] = 0.0
+            return trace
+
+        monkeypatch.setattr(experiments, "simulate", zeroed)
+        result = run_experiment(parse_config(write(tmp_path, GOOD)), tmp_path / "out")
+        assert "fit: skipped (non-positive energy at t = 0.75)" in result.report_lines
+
     def test_cli_import_leaves_numpy_unloaded(self):
         # --threads only caps the BLAS pool if numpy loads after main() sets it
         src = str(Path(bresselab.__file__).parents[1])

@@ -8,7 +8,10 @@ import pytest
 from bresselab.kernel import KernelSpec, total_mass
 from bresselab.model import BoundaryCondition, PhysicalParams
 from bresselab.discretize import (
+    SLICE_BLOCK,
+    CondensedFront,
     Generator,
+    SliceSolver,
     assemble_generator,
     assemble_timoshenko_generator,
     build_memory_grid,
@@ -24,6 +27,7 @@ THERMAL = PhysicalParams(
     rho1=1, rho2=3, k1=1, k2=1, k3=1, ell=1.0,
     thermal=True, rho3=1, delta=1, tau=2, beta=1,
 )
+STRAIGHT = PhysicalParams(rho1=1, rho2=1, k1=1, k2=2, k3=1, ell=0.0)
 
 
 def small_generator(bc_name="ddd", params=None, nx=12, ns=16, kernel=K_HALF):
@@ -206,3 +210,59 @@ class TestLayoutAndExport:
             p, K_HALF, build_spatial_grid(1.0, 10), build_memory_grid(K_HALF, ns=8),
         )
         assert "w" not in gen.layout and "dw" not in gen.layout
+
+
+def condensed_solve(gen, z, r):
+    """x with (z I - A) x = r, solved through T(z): history eliminated, then recovered."""
+    front = CondensedFront(gen.A, gen.history_ladder)
+    w, ds = gen.history_ladder.weights, gen.history_ladder.ds
+    slices = SliceSolver(z + 1.0 / ds, 1.0 / ds, w.size)
+    e = slices.solve(r[front.eta].reshape(w.size, front.n_eta))
+    x_front = np.linalg.solve(front.at(z)[0].toarray(), r[front.index] + front.force @ (w @ e))
+    x = np.empty(gen.dim, dtype=complex)
+    x[front.index] = x_front
+    x[front.eta] = (e + slices.solve(np.ones((w.size, 1))) * (front.inject @ x_front)).ravel()
+    return x
+
+
+class TestCondensedFront:
+    @pytest.mark.parametrize("z", [0.3 + 7j, -0.2 + 2j, 2.0 / 0.05], ids=["0.3+7i", "-0.2+2i", "2/dt"])
+    @pytest.mark.parametrize("nx,ns,a", [
+        pytest.param(6, 12, 0.5, id="6"),
+        pytest.param(40, 12, 0.5, id="40"),
+        # four chained slice blocks
+        pytest.param(6, 4 * SLICE_BLOCK, 0.5, id="6-ns256"),
+        # no memory: the empty ladder, T(z) is z I - A
+        pytest.param(6, 12, 0.0, id="6-a0"),
+    ])
+    @pytest.mark.parametrize("bc", ["ddd", "dddd", "dndd", "dnnd", "two-field"])
+    def test_solve_matches_dense_solve(self, bc, nx, ns, a, z):
+        kernel = KernelSpec(a, 1.0)
+        grid, mgrid = build_spatial_grid(1.0, nx), build_memory_grid(kernel, ns=ns)
+        if bc == "two-field":
+            gen = assemble_timoshenko_generator(STRAIGHT, kernel, grid, mgrid)
+        else:
+            params = ALL_ONES if bc == "ddd" else THERMAL
+            gen = assemble_generator(params, kernel, BoundaryCondition.from_string(bc), grid, mgrid)
+        rng = np.random.default_rng(3)
+        r = rng.standard_normal(gen.dim) + 1j * rng.standard_normal(gen.dim)
+        want = np.linalg.solve(z * np.eye(gen.dim) - gen.A.toarray(), r)
+        err = np.linalg.norm(condensed_solve(gen, z, r) - want) / np.linalg.norm(want)
+        assert err <= 1e-12, f"{bc} nx={nx} ns={ns} a={a} z={z}: off by {err:.3e}"
+
+    @pytest.mark.parametrize("bc", ["ddd", "dndd"])
+    def test_transfer_and_derivative_match_the_dense_ladder(self, bc):
+        # sigma(z) = w^T L(z)^-1 1 from a dense L(z) over three slice blocks,
+        # and T'(z) against a central difference of T
+        gen = small_generator(bc, params=ALL_ONES if bc == "ddd" else THERMAL, nx=6, ns=2 * SLICE_BLOCK + 5)
+        front = CondensedFront(gen.A, gen.history_ladder)
+        w, ds = gen.history_ladder.weights, gen.history_ladder.ds
+        z = -0.2 + 2j
+        lz = (z + 1.0 / ds) * np.eye(w.size) - np.eye(w.size, k=-1) / ds
+        sigma = w @ np.linalg.solve(lz, np.ones(w.size))
+        t, t_prime = (m.toarray() for m in front.at(z))
+        want = z * np.eye(front.index.size) - front.a_ff.toarray() - sigma * front.fj.toarray()
+        assert np.abs(t - want).max() <= 1e-13 * np.abs(want).max()
+        step = 1e-5
+        slope = (front.at(z + step)[0] - front.at(z - step)[0]).toarray() / (2.0 * step)
+        assert np.abs(t_prime - slope).max() <= 1e-7 * np.abs(t_prime).max()

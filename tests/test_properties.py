@@ -17,10 +17,12 @@ from bresselab.discretize import (
     build_memory_grid,
     build_spatial_grid,
     dissipation_rates,
+    energy,
     reflection,
 )
 from bresselab.kernel import KernelSpec
 from bresselab.model import BoundaryCondition, PhysicalParams
+from bresselab.simulate import Stepper, default_dt
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=30)
 
@@ -81,3 +83,19 @@ def test_rate_split_matches_quadratic_form_on_a_block(gen, seed):
     assert mems.shape == heats.shape == (4,)
     assert np.all(mems <= 0.0) and np.all(heats <= 0.0)
     np.testing.assert_allclose(mems + heats, forms, rtol=1e-10, atol=1e-12)
+
+
+@PROPERTY
+@given(generators(), st.integers(0, 2**32 - 1))
+def test_steps_never_raise_the_energy(gen, seed):
+    # implicit midpoint on a dissipative generator: E(u_n+1) <= E(u_n),
+    # through the condensed step factor, on a state with every block filled
+    u0 = np.random.default_rng(seed).standard_normal(gen.dim)
+    e0 = energy(gen, u0)
+    for dt in (default_dt(gen), 0.5):
+        stepper, u, e = Stepper(gen.A, dt, gen.history_ladder), u0, e0
+        for _ in range(5):
+            u = stepper.advance(u)
+            e_next = energy(gen, u)
+            assert e_next <= e + 1e-12 * e0, f"{gen.bc.value} dt={dt}: E {e:.17g} -> {e_next:.17g}"
+            e = e_next
