@@ -28,6 +28,10 @@ from .model import PhysicalParams, equal_speed_condition
 # Relative discriminant size below which the two root pairs nearly merge
 # and the closed form loses accuracy.
 DISC_FLAG_RTOL = 1e-8
+# Residual |F| relative to max(1, |F(seed)|) at which a Newton root has
+# converged, and the Newton steps one seed is allowed.
+NEWTON_RTOL = 1e-9
+NEWTON_MAX_ITER = 50
 
 
 def _check_domain(params: PhysicalParams, kernel: KernelSpec, lam: complex) -> complex:
@@ -210,8 +214,6 @@ def refine_char_root(
     params: PhysicalParams,
     kernel: KernelSpec,
     seed: complex,
-    rel_tol: float = 1e-9,
-    max_iter: int = 50,
 ) -> RootResult:
     """Newton on F with overflow-safe scaling.
 
@@ -225,11 +227,11 @@ def refine_char_root(
     fs_seed, sc_seed, _ = _f_pieces(params, kernel, lam)
     # log |F(seed)| without forming F
     log_f_seed = sc_seed + np.log(max(abs(fs_seed), 1e-300))
-    log_target = np.log(rel_tol) + max(0.0, log_f_seed)
+    log_target = np.log(NEWTON_RTOL) + max(0.0, log_f_seed)
 
     it = 0
     cur = lam
-    for it in range(1, max_iter + 1):
+    for it in range(1, NEWTON_MAX_ITER + 1):
         fs, sc, _ = _f_pieces(params, kernel, cur)
         log_f = sc + np.log(max(abs(fs), 1e-300))
         if log_f <= log_target:

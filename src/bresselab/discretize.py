@@ -526,6 +526,70 @@ class CondensedFront:
         eye = sp.identity(self.index.size)
         return z * eye - self.a_ff - sigma * self.fj, eye - slope * self.fj
 
+    def solver(self, z: complex, factor) -> ShiftedSolver:
+        """Solves with z I - A and its adjoint; factor(T(z) in CSC) returns an LU with solve(v, trans)."""
+        return ShiftedSolver(self, z, factor)
+
+
+class ShiftedSolver:
+    """x with (z I - A) x = r, or with (z I - A)^H x = r, through the front T(z).
+
+    With the history block of r and x held as (ns, n_eta) arrays and
+    L = L(z) acting along the slices, the forward solve is
+
+        x_F = T^-1 (r_F + F c^T r_E),  c = L^-T w,
+        x_E = L^-1 (r_E + 1 (J x_F)^T),
+
+    and the adjoint solve, with b = L^-1 1,
+
+        x_F = T^-H (r_F + J^T b-bar^T r_E),
+        x_E = L^-H (r_E + w (F^T x_F)^T),
+
+    where L^-H = L(conj z)^-T is the slice solve at conj(z) run over the
+    slices in reverse order.  T(z) is factored once, by the caller's
+    factor.  F and J touch only the dpsi rows and columns, and are kept
+    as dense blocks on those.  A real z and a real r stay real.
+    """
+
+    def __init__(self, front: CondensedFront, z: complex, factor):
+        ns, ds = front.weights.size, front.ds
+        self._eta, self._shape, self._weights = front.eta, (ns, front.n_eta), front.weights
+        self._dtype = np.result_type(z, float)
+        self._slices = SliceSolver(z + 1.0 / ds, 1.0 / ds, ns)
+        self._slices_conj = SliceSolver(np.conj(z) + 1.0 / ds, 1.0 / ds, ns)
+        self._c = self._slices.solve(front.weights[::-1, np.newaxis])[::-1, 0]
+        self._b_conj = self._slices_conj.solve(np.ones((ns, 1)))[:, 0]
+        self._lu = factor(front.at(z)[0].tocsc())
+        self._force_rows = np.flatnonzero(front.force.getnnz(axis=1))
+        self._force = front.force[self._force_rows].toarray()
+        self._inject_cols = np.flatnonzero(front.inject.getnnz(axis=0))
+        self._inject = front.inject[:, self._inject_cols].toarray()
+
+    def solve(self, r: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        e0, e1 = self._eta.start, self._eta.stop
+        dtype = np.result_type(r, self._dtype)
+        r_eta = r[e0:e1].reshape(self._shape)
+        r_front = np.concatenate((r[:e0], r[e1:])).astype(dtype, copy=False)
+        x = np.empty(r.shape, dtype)
+        if adjoint:
+            r_front[self._inject_cols] += self._inject.T @ (self._b_conj @ r_eta)
+            x_front = self._front_solve(r_front, "H")
+            r_eta = r_eta + np.outer(self._weights, self._force.T @ x_front[self._force_rows])
+            x[e0:e1] = self._slices_conj.solve(r_eta[::-1])[::-1].ravel()
+        else:
+            r_front[self._force_rows] += self._force @ (self._c @ r_eta)
+            x_front = self._front_solve(r_front, "N")
+            self._slices.solve(r_eta + self._inject @ x_front[self._inject_cols], out=x[e0:e1].reshape(self._shape))
+        x[:e0] = x_front[:e0]
+        x[e1:] = x_front[e0:]
+        return x
+
+    def _front_solve(self, v: np.ndarray, trans: str) -> np.ndarray:
+        if v.dtype == self._dtype:
+            return self._lu.solve(v, trans)
+        # a real factor takes a complex v in two real solves
+        return self._lu.solve(v.real.copy(), trans) + 1j * self._lu.solve(v.imag.copy(), trans)
+
 
 # =====================================================================
 # Energy and dissipation

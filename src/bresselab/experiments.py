@@ -32,6 +32,7 @@ from .spectra import (
     SpectrumReport,
     abscissa_window,
     compute_spectrum,
+    energy_cholesky,
     envelope_anchors,
     fit_growth_exponent,
     match_branches,
@@ -180,11 +181,13 @@ class _RunContext:
         damped eigenvalue of each frequency band over [lo, hi], kept up to
         the top of the trusted frequency window (past it the stencils
         suppress the damping the envelope measures).  A config error when
+        the energy Gram matrix is only semidefinite (spectra.energy_cholesky),
         the window is empty, the spectrum is past the dense cap, or the
         kept anchors are fewer than 4 or span less than MIN_ANCHOR_SPAN.
         """
         cfg = self.cfg
         gen = self.spectrum_generator
+        self._build(energy_cholesky, gen)
         cap = resolution_cap(gen)
         hi = cap if cfg.lambda_max is None else min(cfg.lambda_max, cap)
         lo = cfg.lambda_min

@@ -20,7 +20,6 @@ from .discretize import (
     CondensedFront,
     Generator,
     HistoryLadder,
-    SliceSolver,
     _place_blocks,
     _position_fields,
     coordinates,
@@ -30,13 +29,17 @@ from .discretize import (
 from .model import wave_speeds
 
 
-def default_dt(gen: Generator, cfl: float = 0.05) -> float:
-    """Conservative step: cfl * h / (fastest characteristic speed)."""
+# Courant number of the default step.
+CFL = 0.05
+
+
+def default_dt(gen: Generator) -> float:
+    """Conservative step: CFL * h / (fastest characteristic speed)."""
     p = gen.params
     speeds = list(wave_speeds(p))
     if p.thermal and p.tau > 0.0:
         speeds.append(1.0 / (p.rho3 * p.tau))
-    return cfl * gen.grid.h / float(np.sqrt(max(speeds)))
+    return CFL * gen.grid.h / float(np.sqrt(max(speeds)))
 
 
 # Most recorded states sampled as one block: at the evolve configs'
@@ -47,52 +50,31 @@ SAMPLE_BLOCK = 16
 class Stepper:
     """Prefactored implicit-midpoint stepper u -> (I - dt/2 A)^-1 (I + dt/2 A) u.
 
-    Since I + dt/2 A = 2 I - M with M = I - dt/2 A = h (z I - A) at
-    z = 1/h, h = dt/2, the map is u -> 2 M^-1 u - u, solved with the
-    history ladder condensed out (discretize.CondensedFront).  The front
-    Schur complement S = h T(1/h) = M_FF - h sigma(1/h) F J is factored
-    once.  A step is x_F = S^-1 (r_F + h F c^T r_E), with c = L^-T w, and
-    then x_E = L^-1 (r_E + h 1 (J x_F)^T), where L = h L(1/h) =
-    (1 + a) I - a N (a = h/ds) is the history block of M on one slice; c
-    is the same slice solve run on the reversed weights.  Without memory
-    the ladder is empty and S is M.
+    Since I + dt/2 A = 2 I - M with M = I - dt/2 A = (dt/2) (z I - A) at
+    z = 2/dt, the map is u -> (4/dt) (z I - A)^-1 u - u, one forward
+    solve of discretize.ShiftedSolver: the history ladder is condensed
+    out, and a step costs one LU solve with the front operator T(2/dt).
 
-    S is factored by the module-level splu with a minimum-degree ordering
-    on the pattern of S + S^T and diagonal pivots.  Every diagonal entry
-    of M_FF is at least 1 (positions, velocities and theta 1, q
-    1 + dt beta/(2 tau)), and the correction only adds a nonnegative
-    diagonal (sigma(1/h) > 0, and -F J is a Gram form scaled by positive
-    masses), so diagonal pivots stay safe.
+    T is factored by the module-level splu with a minimum-degree ordering
+    on the pattern of T + T^T and diagonal pivots.  Every diagonal entry
+    of z I - A_FF is at least z (positions, velocities and theta z, q
+    z + beta/tau), and the ladder only adds a nonnegative diagonal
+    (sigma(z) > 0 for real z > 0, and -F J is a Gram form scaled by
+    positive masses), so diagonal pivots stay safe.
     """
 
     def __init__(self, A: sp.spmatrix, dt: float, ladder: HistoryLadder = NO_HISTORY):
         if not (np.isfinite(dt) and dt > 0.0):
             raise ValueError(f"dt must be finite and > 0, got {dt}")
-        h = 0.5 * dt
-        front = CondensedFront(A, ladder)
-        w = ladder.weights
-        self._eta, self._shape = ladder.eta, (w.size, front.n_eta)
-        self._slices = SliceSolver(1.0 + h / ladder.ds, h / ladder.ds, w.size)
-        self._c = self._slices.solve(w[::-1, np.newaxis])[::-1, 0]
-        self._lu = splu((h * front.at(1.0 / h)[0]).tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
-        # F and J touch only the dpsi rows and columns: kept as dense blocks
-        # on those, they cost a small matmul a step, not a sparse dispatch
-        self._force_rows = np.flatnonzero(front.force.getnnz(axis=1))
-        self._force = h * front.force[self._force_rows].toarray()
-        self._inject_cols = np.flatnonzero(front.inject.getnnz(axis=0))
-        self._inject = h * front.inject[:, self._inject_cols].toarray()
+        self._scale = 4.0 / dt
+        # splu is looked up when T is factored, so a patched module-level splu takes effect
+        self._solver = CondensedFront(A, ladder).solver(
+            2.0 / dt, lambda t: splu(t, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
+        )
 
     def advance(self, u: np.ndarray) -> np.ndarray:
-        e0, e1 = self._eta.start, self._eta.stop
-        r_eta = u[e0:e1].reshape(self._shape)
-        r_front = np.concatenate((u[:e0], u[e1:]))
-        r_front[self._force_rows] += self._force @ (self._c @ r_eta)
-        x_front = self._lu.solve(r_front)
-        x = np.empty_like(u)
-        x[:e0] = x_front[:e0]
-        x[e1:] = x_front[e0:]
-        self._slices.solve(r_eta + self._inject @ x_front[self._inject_cols], out=x[e0:e1].reshape(self._shape))
-        x *= 2.0
+        x = self._solver.solve(u)
+        x *= self._scale
         x -= u
         return x
 

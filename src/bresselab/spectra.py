@@ -381,14 +381,33 @@ def windowed_abscissa(gen: Generator, eigenvalues: np.ndarray) -> float:
 RESOLVENT_RTOL = 1e-4
 
 
+def energy_cholesky(gen: Generator) -> np.ndarray:
+    """Banded Cholesky factor of B (_energy_factor); ValueError if B is only semidefinite.
+
+    A zero-energy mode (dnnd's axial mean mode) leaves the energy metric
+    undefined; the fixed pivot rule decides, not whether round-off lets
+    a factorization through.
+    """
+    r = _energy_factor(gen.B)
+    if r is None:
+        raise ValueError(
+            "energy Gram matrix is only semidefinite (zero-energy mode); the resolvent "
+            "norm in the energy metric is undefined for this variant"
+        )
+    return r
+
+
 def resolvent_scan(gen: Generator, lam: np.ndarray, max_iter: int = 400) -> ResolventScan:
     """Energy-norm resolvent along i*lam by inverse iteration.
 
-    For each sample the smallest singular value of (i lam - A) in the
-    B-metric is found by inverse iteration on the normal equations,
-    using one complex LU of (i lam - A) and one real LU of B.  Relative
-    accuracy is driven well below 1e-3; iteration counts and a converged
-    flag per sample are reported so stagnation is visible.
+    For each sample the smallest singular value of C = i lam - A in the
+    B-metric is found by inverse iteration on the normal equations:
+    y = C^-1 B^-1 C^-H B x.  C^-1 and C^-H are the forward and adjoint
+    solves of discretize.ShiftedSolver, so each sample factors only the
+    front operator T(i lam); B^-1 is the banded Cholesky factor of
+    energy_cholesky, which refuses a semidefinite B with ValueError.
+    Relative accuracy is driven well below 1e-3; iteration counts and a
+    converged flag per sample are reported so stagnation is visible.
     """
     lam = np.asarray(lam, dtype=float)
     cap = resolution_cap(gen)
@@ -396,17 +415,10 @@ def resolvent_scan(gen: Generator, lam: np.ndarray, max_iter: int = 400) -> Reso
         raise ValueError(
             f"requested frequency {lam.max():.6g} exceeds the grid resolution cap {cap:.6g}"
         )
-    b = gen.B.tocsc()
-    try:
-        lu_b = splu(b)
-    except RuntimeError as exc:
-        raise ValueError(
-            "energy Gram matrix is singular (zero-energy mode); the resolvent "
-            "norm in the energy metric is undefined for this variant"
-        ) from exc
-    a = gen.A.tocsc()
+    r = energy_cholesky(gen)
+    front = CondensedFront(gen.A, gen.history_ladder)
+    a, b = gen.A, gen.B
     n = gen.dim
-    eye = sp.identity(n, format="csc", dtype=complex)
     rng = np.random.default_rng(1234)
     x0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
@@ -414,22 +426,20 @@ def resolvent_scan(gen: Generator, lam: np.ndarray, max_iter: int = 400) -> Reso
     iters = np.empty(lam.size, dtype=int)
     converged = np.zeros(lam.size, dtype=bool)
     for j, lv in enumerate(lam):
-        c = (1j * lv) * eye - a
-        lu_c = splu(c)
+        c = front.solver(1j * lv, splu)
         x = x0.copy()
         x /= np.sqrt(abs(np.vdot(x, b @ x)))
         sig2_old = np.inf
         it = 0
         for it in range(1, max_iter + 1):
-            # y = (C^H B C)^-1 B x   via two triangular solve pairs
-            wvec = b @ x
-            v = lu_c.solve(wvec, trans="H")
-            z = lu_b.solve(np.real(v)) + 1j * lu_b.solve(np.imag(v))
-            y = lu_c.solve(z)
+            # y = (C^H B C)^-1 B x
+            v = c.solve(b @ x, adjoint=True)
+            parts = la.cho_solve_banded((r, False), np.column_stack((v.real, v.imag)), check_finite=False)
+            y = c.solve(parts[:, 0] + 1j * parts[:, 1])
             norm_y = np.sqrt(abs(np.vdot(y, b @ y)))
             y /= norm_y
             # Rayleigh quotient of the normal operator at y: ||C y||_B^2
-            cy = c @ y
+            cy = (1j * lv) * y - a @ y
             sig2 = abs(np.vdot(cy, b @ cy))
             if sig2_old < np.inf and abs(sig2 - sig2_old) <= RESOLVENT_RTOL * sig2:
                 converged[j] = True
@@ -518,17 +528,13 @@ def fit_growth_exponent(scan: ResolventScan) -> GrowthFit:
 BRANCH_AMBIGUITY_RATIO = 0.10
 
 
-def match_branches(
-    report: SpectrumReport,
-    params,
-    kernel,
-    im_max: float | None = None,
-) -> list:
+def match_branches(report: SpectrumReport, params, kernel) -> list:
     """Tag eigenvalues with the asymptotic branch whose frequency is nearest.
 
     Predictions come from the characteristic branch seeds (shear branch
     at n pi sqrt(k2/rho2), longitudinal-wave branch at n pi
-    sqrt(k1/rho1), unit length).  An eigenvalue whose two nearest
+    sqrt(k1/rho1), unit length), one per branch past the spectrum's
+    highest frequency.  An eigenvalue whose two nearest
     predictions differ by less than BRANCH_AMBIGUITY_RATIO relative to its
     own frequency is tagged None: the match would be a coin flip.
     Returns one (branch, n, predicted_im) or None per eigenvalue.
@@ -538,7 +544,7 @@ def match_branches(
     if params.ell != 0.0 or params.thermal:
         raise ValueError("branch tags are defined for the straight elastic beam")
     vals = report.eigenvalues
-    cap = im_max if im_max is not None else (np.max(np.abs(vals.imag)) if vals.size else 0.0)
+    cap = np.max(np.abs(vals.imag)) if vals.size else 0.0
     sp0 = np.pi * np.sqrt(params.k2 / params.rho2)
     sp1 = np.pi * np.sqrt(params.k1 / params.rho1)
     n0 = max(1, int(np.ceil(cap / sp0)) + 1)

@@ -48,6 +48,15 @@ STRAIGHT_RESOLVENT = (
     .replace("disc.ns = 12", "disc.ns = 16")
 )
 
+# GOOD turned into the thermal poly1 beam with mixed (dnnd) ends
+DNND_THERMAL_POLY1 = {
+    "params.rho2 = 1": "params.rho2 = 3.5",
+    "kernel.a = 0.5": "kernel.a = 0.25",
+    "disc.nx = 10": "disc.nx = 40",
+    "disc.ns = 12": "disc.ns = 16\nparams.thermal = true\nparams.rho3 = 1\nparams.delta = 1\n"
+                    "params.tau = 2\nparams.beta = 1\nbc = dnnd",
+}
+
 
 def write(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
@@ -181,10 +190,15 @@ class TestCliExitCodes:
         {"experiment = simulate": "experiment = resolvent"},
         # equal wave speeds: the two asymptotic root branches coincide
         {"experiment = simulate": "experiment = characteristic", "params.ell = 1.0": "params.ell = 0"},
+        # curved dnnd beam: the axial mean mode has zero energy, so the energy
+        # metric of the resolvent is undefined although sparse LU factors B
+        {"experiment = simulate": "experiment = resolvent", **DNND_THERMAL_POLY1},
+        {"experiment = simulate": "experiment = full-report", **DNND_THERMAL_POLY1},
     ], ids=["nx", "trunc_tol", "inadmissible_kernel", "full_report_resolvent_window",
             "full_report_dense_cap", "resolvent_dense_cap", "resolvent_too_few_anchors",
             "full_report_too_few_anchors", "resolvent_narrow_anchor_span",
-            "characteristic_equal_speeds"])
+            "characteristic_equal_speeds", "resolvent_semidefinite_energy",
+            "full_report_semidefinite_energy"])
     def test_unbuildable_config_exits_two(self, tmp_path, capsys, changes):
         text = GOOD
         for old, new in changes.items():

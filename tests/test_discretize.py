@@ -4,6 +4,7 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from bresselab.kernel import KernelSpec, total_mass
 from bresselab.model import BoundaryCondition, PhysicalParams
@@ -11,7 +12,6 @@ from bresselab.discretize import (
     SLICE_BLOCK,
     CondensedFront,
     Generator,
-    SliceSolver,
     assemble_generator,
     assemble_timoshenko_generator,
     build_memory_grid,
@@ -212,21 +212,15 @@ class TestLayoutAndExport:
         assert "w" not in gen.layout and "dw" not in gen.layout
 
 
-def condensed_solve(gen, z, r):
-    """x with (z I - A) x = r, solved through T(z): history eliminated, then recovered."""
-    front = CondensedFront(gen.A, gen.history_ladder)
-    w, ds = gen.history_ladder.weights, gen.history_ladder.ds
-    slices = SliceSolver(z + 1.0 / ds, 1.0 / ds, w.size)
-    e = slices.solve(r[front.eta].reshape(w.size, front.n_eta))
-    x_front = np.linalg.solve(front.at(z)[0].toarray(), r[front.index] + front.force @ (w @ e))
-    x = np.empty(gen.dim, dtype=complex)
-    x[front.index] = x_front
-    x[front.eta] = (e + slices.solve(np.ones((w.size, 1))) * (front.inject @ x_front)).ravel()
-    return x
+SHIFTS = {"0.3+7i": 0.3 + 7j, "-0.2+2i": -0.2 + 2j, "2/dt": 2.0 / 0.05}
 
 
 class TestCondensedFront:
-    @pytest.mark.parametrize("z", [0.3 + 7j, -0.2 + 2j, 2.0 / 0.05], ids=["0.3+7i", "-0.2+2i", "2/dt"])
+    # solves with z I - A, and with its adjoint under the "-adjoint" ids
+    @pytest.mark.parametrize("z,adjoint", [
+        pytest.param(z, adjoint, id=name + ("-adjoint" if adjoint else ""))
+        for adjoint in (False, True) for name, z in SHIFTS.items()
+    ])
     @pytest.mark.parametrize("nx,ns,a", [
         pytest.param(6, 12, 0.5, id="6"),
         pytest.param(40, 12, 0.5, id="40"),
@@ -236,7 +230,7 @@ class TestCondensedFront:
         pytest.param(6, 12, 0.0, id="6-a0"),
     ])
     @pytest.mark.parametrize("bc", ["ddd", "dddd", "dndd", "dnnd", "two-field"])
-    def test_solve_matches_dense_solve(self, bc, nx, ns, a, z):
+    def test_solve_matches_dense_solve(self, bc, nx, ns, a, z, adjoint):
         kernel = KernelSpec(a, 1.0)
         grid, mgrid = build_spatial_grid(1.0, nx), build_memory_grid(kernel, ns=ns)
         if bc == "two-field":
@@ -246,9 +240,11 @@ class TestCondensedFront:
             gen = assemble_generator(params, kernel, BoundaryCondition.from_string(bc), grid, mgrid)
         rng = np.random.default_rng(3)
         r = rng.standard_normal(gen.dim) + 1j * rng.standard_normal(gen.dim)
-        want = np.linalg.solve(z * np.eye(gen.dim) - gen.A.toarray(), r)
-        err = np.linalg.norm(condensed_solve(gen, z, r) - want) / np.linalg.norm(want)
-        assert err <= 1e-12, f"{bc} nx={nx} ns={ns} a={a} z={z}: off by {err:.3e}"
+        c = z * np.eye(gen.dim) - gen.A.toarray()
+        want = np.linalg.solve(c.conj().T if adjoint else c, r)
+        got = CondensedFront(gen.A, gen.history_ladder).solver(z, splu).solve(r, adjoint=adjoint)
+        err = np.linalg.norm(got - want) / np.linalg.norm(want)
+        assert err <= 1e-12, f"{bc} nx={nx} ns={ns} a={a} z={z} adjoint={adjoint}: off by {err:.3e}"
 
     @pytest.mark.parametrize("bc", ["ddd", "dndd"])
     def test_transfer_and_derivative_match_the_dense_ladder(self, bc):

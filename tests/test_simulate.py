@@ -82,8 +82,8 @@ class TestStepper:
     @pytest.mark.parametrize("bc", ["ddd", "dddd"])
     def test_factor_fill_stays_near_matrix_nnz(self, bc, nx, monkeypatch):
         # the factor comes through the module-level splu, and what it
-        # factors is the front complement S, history condensed out.  A
-        # minimum-degree ordering with diagonal pivots fills S about 1.97x
+        # factors is the front operator T(2/dt), history condensed out.  A
+        # minimum-degree ordering with diagonal pivots fills T about 1.97x
         # (ddd) and 2.5x (dddd); COLAMD with partial pivoting fills it 2.4x
         # and 3.0x, the natural order 57x to 150x
         factored = []

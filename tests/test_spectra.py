@@ -445,9 +445,25 @@ class TestFrequencyWindows:
 
 
 class TestResolventScan:
-    def test_matches_dense_svd_oracle(self):
-        gen = make_gen(nx=8, ns=8)
-        lam = np.array([3.0, 7.0, 12.0])
+    @pytest.mark.parametrize("case,lam", [
+        # nodal history
+        pytest.param("ddd", [3.0, 7.0, 12.0], id="ddd"),
+        # gradient history and the heat pair, under a resolution cap of 8.16
+        pytest.param("dndd", [2.0, 5.0, 8.0], id="dndd"),
+        pytest.param("two-field", [3.0, 7.0, 12.0], id="two-field"),
+        # no memory: the empty ladder
+        pytest.param("a0", [3.0, 7.0, 12.0], id="a0"),
+    ])
+    def test_matches_dense_svd_oracle(self, case, lam):
+        if case == "two-field":
+            kern = KernelSpec(0.5, 1.0)
+            straight = PhysicalParams(rho1=1, rho2=1, k1=1, k2=2, k3=1)
+            gen = assemble_timoshenko_generator(
+                straight, kern, build_spatial_grid(1.0, 8), build_memory_grid(kern, ns=8))
+        else:
+            gen = make_gen(params=THERMAL if case == "dndd" else None, a=0.0 if case == "a0" else 0.5,
+                           nx=8, ns=8, bc="dndd" if case == "dndd" else "ddd")
+        lam = np.array(lam)
         scan = resolvent_scan(gen, lam)
         a = gen.A.toarray()
         r = la.cholesky(gen.B.toarray(), lower=False)
@@ -460,6 +476,19 @@ class TestResolventScan:
             assert got == pytest.approx(want, rel=1e-3), (
                 f"lam={lv}: inverse iteration {got} vs svd {want}"
             )
+
+    @pytest.mark.parametrize("ell", [0.0, 1.0])
+    def test_semidefinite_energy_raises_before_any_factor(self, ell, monkeypatch):
+        # dnnd: the axial mean mode carries no energy.  The fixed pivot
+        # rule refuses B at either curvature, while sparse LU of B meets an
+        # exact zero pivot only at ell = 0
+        def no_lu(*args, **kwargs):
+            raise AssertionError("factored before the energy metric was checked")
+
+        monkeypatch.setattr(spectra, "splu", no_lu)
+        gen = make_gen(params=dataclasses.replace(THERMAL, ell=ell), nx=8, ns=8, bc="dnnd")
+        with pytest.raises(ValueError, match="semidefinite"):
+            resolvent_scan(gen, np.array([3.0]))
 
     def test_cap_enforced(self):
         gen = make_gen(nx=10)
@@ -551,7 +580,7 @@ class TestMatchBranches:
         gen = assemble_timoshenko_generator(
             p, kern, build_spatial_grid(1.0, 60), build_memory_grid(kern, ns=16))
         rep = compute_spectrum(gen)
-        tags = match_branches(rep, p, kern, im_max=30.0)
+        tags = match_branches(rep, p, kern)
         hits = [(v, t) for v, t in zip(rep.eigenvalues, tags)
                 if t is not None and 1.0 <= v.imag <= 30.0]
         # interleaved branch predictions leave only a handful unambiguous
