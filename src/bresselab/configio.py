@@ -44,7 +44,6 @@ _SCHEMA: dict[str, type] = {
     "kernel.c": float,
     "disc.nx": int,
     "disc.ns": int,
-    "disc.trunc_tol": float,
     "sim.T": float,
     "sim.dt": float,
     "sim.stride": int,
@@ -78,7 +77,6 @@ class ExperimentConfig:
     bc: BoundaryCondition
     nx: int
     ns: int
-    trunc_tol: float
     T: float
     dt: float | None
     stride: int
@@ -201,7 +199,6 @@ def parse_config(path) -> ExperimentConfig:
         bc=bc,
         nx=positive("disc.nx", int(values.get("disc.nx", 40))),
         ns=positive("disc.ns", int(values.get("disc.ns", 32))),
-        trunc_tol=positive("disc.trunc_tol", float(values.get("disc.trunc_tol", 1e-8))),
         T=positive("sim.T", float(values.get("sim.T", 100.0)), strict=False),
         dt=positive("sim.dt", values.get("sim.dt")),
         stride=positive("sim.stride", int(values.get("sim.stride", 1))),

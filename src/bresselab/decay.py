@@ -138,7 +138,7 @@ class AbscissaLadder:
     polynomial_signature: bool
 
 
-def abscissa_ladder(params, kernel, bc, nx_values, ns: int, trunc_tol: float = 1e-8) -> AbscissaLadder:
+def abscissa_ladder(params, kernel, bc, nx_values, ns: int) -> AbscissaLadder:
     """Resolved-window spectral abscissa at each nx; the
     continuum-polynomial signature is every refinement pushing |max Re|
     down by at least a factor 2.
@@ -152,7 +152,7 @@ def abscissa_ladder(params, kernel, bc, nx_values, ns: int, trunc_tol: float = 1
     from .discretize import assemble_generator, build_memory_grid, build_spatial_grid
     from .spectra import compute_spectrum, windowed_abscissa
 
-    mgrid = build_memory_grid(kernel, ns=ns, trunc_tol=trunc_tol)
+    mgrid = build_memory_grid(kernel, ns=ns)
     abscs: list[float] = []
     raw: list[float] = []
     for nx in nx_values:

@@ -17,6 +17,13 @@ upwind transport and product-trapezoid quadrature weights (exact for the
 exponential kernel times piecewise-linear functions).  Those weights
 satisfy W_{k+1} = exp(-c ds) W_k exactly, which is what the discrete
 dissipativity argument needs.
+
+Exact memory is the same ladder with one slice (exact_memory_grid): at
+ds = 1/c and s_1 = 1/c the weight W_1 = e/c gives W_1 g(s_1) = g0, the
+slice obeys eta_1' = J x_F - c eta_1, and m = g0 eta_1 is the Dafermos
+history integral int g(s) eta(s) ds, whose transfer g0/(z + c) is that
+of the continuum.  So every assembly, spectrum and solve below takes
+exact memory with no code of its own.
 """
 
 from __future__ import annotations
@@ -31,8 +38,8 @@ import scipy.sparse as sp
 from .kernel import KernelSpec, evaluate, total_mass, truncation_length, validate_hypotheses
 from .model import BoundaryCondition, PhysicalParams
 
-# Largest tail ratio g(S_max)/g(0) a memory grid may carry.
-MAX_TRUNC_TOL = 1e-8
+# Tail ratio g(S_max)/g(0) at which the history grid is truncated.
+TRUNC_TOL = 1e-8
 # Absolute tolerance of the kernel-mass reproduction check.
 MASS_CHECK_TOL = 1e-6
 
@@ -89,7 +96,7 @@ class MemoryGrid:
     mass_error: float
 
 
-def build_memory_grid(kernel: KernelSpec, ns: int = 32, trunc_tol: float = 1e-8) -> MemoryGrid:
+def build_memory_grid(kernel: KernelSpec, ns: int = 32) -> MemoryGrid:
     """History grid plus quadrature weights for the given kernel.
 
     The weights are product-trapezoid: W_j = integral of g times the hat
@@ -99,12 +106,7 @@ def build_memory_grid(kernel: KernelSpec, ns: int = 32, trunc_tol: float = 1e-8)
     """
     if ns < 8:
         raise ValueError(f"need at least 8 history intervals, got ns = {ns}")
-    s_max = truncation_length(kernel, trunc_tol)
-    if trunc_tol > MAX_TRUNC_TOL:
-        raise ValueError(
-            f"truncation tolerance {trunc_tol} too coarse; the kernel tail "
-            f"g(S_max)/g(0) must not exceed {MAX_TRUNC_TOL}"
-        )
+    s_max = truncation_length(kernel, TRUNC_TOL)
     ns = int(ns)
     ds = s_max / ns
     s = np.linspace(0.0, s_max, ns + 1)
@@ -129,9 +131,21 @@ def build_memory_grid(kernel: KernelSpec, ns: int = 32, trunc_tol: float = 1e-8)
     if mass_error > MASS_CHECK_TOL * max(1.0, g0):
         raise ValueError(
             f"memory quadrature mass check failed: |sum w g - g0| = {mass_error:.3e} "
-            f"exceeds {MASS_CHECK_TOL * max(1.0, g0):.3e}; refine ns or trunc_tol"
+            f"exceeds {MASS_CHECK_TOL * max(1.0, g0):.3e}; refine ns"
         )
     return MemoryGrid(ns=ns, ds=ds, s_max=s_max, s=s, weights=weights, mass_error=mass_error)
+
+
+def exact_memory_grid(kernel: KernelSpec) -> MemoryGrid:
+    """The one-slice history grid on which the ladder is exact memory.
+
+    ds = s_1 = 1/c and W_1 = e/c, so W_1 g(s_1) = g0 for every a: the
+    memory transfer w L(z)^-1 1 is g0/(z + c), the continuum's
+    int g(s) (1 - exp(-z s)) / z ds.  The s = 0 node carries no weight.
+    """
+    s, weights = np.array([0.0, 1.0 / kernel.c]), np.array([0.0, np.e / kernel.c])
+    mass_error = float(abs(weights @ evaluate(kernel, s) - total_mass(kernel)))
+    return MemoryGrid(ns=1, ds=s[1], s_max=s[1], s=s, weights=weights, mass_error=mass_error)
 
 
 # =====================================================================
@@ -238,6 +252,10 @@ class Generator:
     @property
     def history_ladder(self) -> HistoryLadder:
         return HistoryLadder(self.layout["eta"], self.slice_weights, self.mgrid.ds) if self.ns_active else NO_HISTORY
+
+    def on_memory_grid(self, mgrid: MemoryGrid) -> Generator:
+        """The same variant (include_w kept) reassembled on another history grid."""
+        return _assemble(self.params, self.kernel, self.bc, self.grid, mgrid, self.include_w)
 
 
 def _position_fields(bc: BoundaryCondition, include_w: bool) -> list[tuple[str, bool]]:
@@ -515,7 +533,9 @@ class CondensedFront:
         self.index = np.r_[0:eta.start, eta.stop:A.shape[0]]
         first, a_front = slice(eta.start, eta.start + self.n_eta), A[self.index]
         self.a_ff, self.inject = a_front[:, self.index], A[first][:, self.index]
-        self.force = a_front[:, first] / (self.weights[0] if ns else 1.0)
+        # entry-wise division: the reciprocal of a subnormal weight overflows
+        self.force = a_front[:, first]
+        self.force.data /= self.weights[0] if ns else 1.0
         self.fj = self.force @ self.inject
 
     def at(self, z: complex) -> tuple[sp.csr_matrix, sp.csr_matrix]:

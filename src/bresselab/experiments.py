@@ -143,7 +143,7 @@ class _RunContext:
 
     @cached_property
     def mgrid(self):
-        return self._build(build_memory_grid, self.cfg.kernel, self.cfg.ns, self.cfg.trunc_tol)
+        return self._build(build_memory_grid, self.cfg.kernel, self.cfg.ns)
 
     @cached_property
     def generator(self):

@@ -73,14 +73,12 @@ class HypothesisReport:
     """Admissibility check of a kernel against a shear modulus k2.
 
     k2_tilde            residual stiffness k2 - g0
-    k2_tilde_positive   whether the damped shear modulus stays positive
     decay_rate          largest c with g' <= -c g (exact for this family)
     curvature_bound     smallest c2 with |g''| <= c2 g (equals c^2 here)
-    ok                  all conditions hold
+    ok                  the damped shear modulus k2_tilde stays positive
     """
 
     k2_tilde: float
-    k2_tilde_positive: bool
     decay_rate: float
     curvature_bound: float
     ok: bool
@@ -96,11 +94,9 @@ def validate_hypotheses(kernel: KernelSpec, k2: float) -> HypothesisReport:
         raise ValueError(f"shear modulus k2 must be finite and > 0, got {k2}")
     g0 = total_mass(kernel)
     k2_tilde = k2 - g0
-    positive = k2_tilde > 0.0
     return HypothesisReport(
         k2_tilde=k2_tilde,
-        k2_tilde_positive=positive,
         decay_rate=kernel.c,
         curvature_bound=kernel.c ** 2,
-        ok=positive,
+        ok=k2_tilde > 0.0,
     )

@@ -20,11 +20,11 @@ from .discretize import (
     CondensedFront,
     Generator,
     HistoryLadder,
-    _place_blocks,
     _position_fields,
     coordinates,
     dissipation_rates,
     energy,
+    exact_memory_grid,
 )
 from .model import wave_speeds
 
@@ -208,67 +208,33 @@ def simulate(
 
 
 # =====================================================================
-# Collapsed-history cross-check
+# Exact-memory cross-check
 # =====================================================================
 
-def assemble_collapsed_generator(gen: Generator):
-    """First-order reduction of the memory column for the exponential kernel.
-
-    The weighted history integral m(x,t) = int g(s) eta(x,t,s) ds obeys
-    m_t = g0 psi_t - c m exactly when g is a single exponential, so the
-    infinite-dimensional history column collapses to one extra field.
-    Returns (A_red, layout) over (positions, velocities, m); m uses the
-    same spatial representation as a nodal memory slice.  This is a
-    validation tool: trajectories of the full ladder must converge to
-    this system's at first order in ds.
-    """
-    if gen.ns_active == 0:
-        raise ValueError("collapsed reduction needs an active memory block")
-    if gen.eta_rep != "nodal":
-        raise ValueError("collapsed reduction implemented for nodal memory slices")
-    if gen.params.thermal:
-        raise ValueError("collapsed reduction implemented for the elastic variant")
-    p, kern = gen.params, gen.kernel
-    g0 = kern.a / kern.c
-
-    front = slice(0, gen.layout["eta"].start)  # positions and velocities
-    dpsi = gen.layout["dpsi"]
-    n_psi = dpsi.stop - dpsi.start
-    m = slice(front.stop, front.stop + n_psi)
-    # force of one unit-weight nodal slice on the shear velocity rows
-    force_one = -sp.diags(1.0 / (p.rho2 * np.full(n_psi, gen.grid.h))) @ gen.slice_energy
-    a_red = _place_blocks(m.stop, [
-        (front, front, gen.A[front, front]),
-        (dpsi, m, force_one),
-        (m, dpsi, g0 * sp.identity(n_psi)),
-        (m, m, -kern.c * sp.identity(n_psi)),
-    ])
-    layout = dict(gen.layout)
-    layout.pop("eta", None)
-    layout["m"] = m
-    return a_red, layout
-
-
 def collapsed_history_gap(gen: Generator, u0: np.ndarray, T: float, dt: float) -> float:
-    """Relative trajectory gap between the history ladder and its collapse.
+    """Relative trajectory gap between the history ladder and exact memory.
 
-    Advances the full system and the collapsed one with the same
-    implicit-midpoint step from the same (zero-history) start and
-    returns ||(phi,psi) - (phi,psi)_red||_h / ||(phi,psi)_red||_h at
-    time T.  First order in the history resolution ds by construction.
+    Exact memory is gen's own variant reassembled on exact_memory_grid,
+    the one-slice ladder whose slice is the collapsed history integral
+    m = int g(s) eta(s) ds over g0.  Both are advanced with the same
+    implicit-midpoint step from the same front (positions, velocities,
+    theta, q) with vanishing history, and the gap is
+    ||(phi,psi) - (phi,psi)_exact||_h / ||(phi,psi)_exact||_h at time T.
+    First order in the history resolution ds.
     """
-    if np.max(np.abs(np.asarray(u0[gen.layout["eta"]]))) > 0.0:
-        raise ValueError("cross-check starts from vanishing history")
-    a_red, layout_red = assemble_collapsed_generator(gen)
-    n_front, n_steps = layout_red["m"].start, max(1, int(round(T / dt)))
-    u_full, u_red = np.asarray(u0, dtype=float), np.zeros(a_red.shape[0])
-    u_red[:n_front] = u_full[:n_front]
-    full, red = Stepper(gen.A, T / n_steps, gen.history_ladder), Stepper(a_red, T / n_steps)
+    eta = gen.layout.get("eta")
+    if eta is None or np.any(np.asarray(u0)[eta] != 0.0):
+        raise ValueError("cross-check needs a memory block and starts from vanishing history")
+    exact = gen.on_memory_grid(exact_memory_grid(gen.kernel))
+    n_steps = max(1, int(round(T / dt)))
+    u_full = np.asarray(u0, dtype=float)
+    u_exact = np.insert(np.delete(u_full, eta), exact.layout["eta"].start, np.zeros(exact.n_eta))
+    full, one_slice = (Stepper(g.A, T / n_steps, g.history_ladder) for g in (gen, exact))
     for _ in range(n_steps):
-        u_full, u_red = full.advance(u_full), red.advance(u_red)
+        u_full, u_exact = full.advance(u_full), one_slice.advance(u_exact)
 
     stop = gen.layout["psi"].stop
-    denom = float(np.linalg.norm(u_red[:stop]))
+    denom = float(np.linalg.norm(u_exact[:stop]))
     if denom == 0.0:
-        raise ValueError("collapsed trajectory vanished; gap undefined")
-    return float(np.linalg.norm(u_full[:stop] - u_red[:stop])) / denom
+        raise ValueError("exact-memory trajectory vanished; gap undefined")
+    return float(np.linalg.norm(u_full[:stop] - u_exact[:stop])) / denom

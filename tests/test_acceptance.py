@@ -27,11 +27,11 @@ from bresselab.discretize import (
     assemble_timoshenko_generator,
     build_memory_grid,
     build_spatial_grid,
+    exact_memory_grid,
 )
 from bresselab.kernel import KernelSpec, evaluate, laplace, total_mass
 from bresselab.model import BoundaryCondition, PhysicalParams, Regime, classify_regime
 from bresselab.simulate import (
-    assemble_collapsed_generator,
     collapsed_history_gap,
     initial_state,
     simulate,
@@ -319,11 +319,11 @@ def test_criterion_08_spectrum_matches_characteristic_roots(acceptance):
         build_memory_grid(ELASTIC_KERNEL, ns=64),
     )
     roots = _strip_roots(STRAIGHT, ELASTIC_KERNEL)
-    # seeds: the roots, and the strip modes of the exact collapsed memory
-    # column (dimension 1000, solved dense); both refined on the ladder
-    a_red, _ = assemble_collapsed_generator(gen)
-    collapsed = [z for z in la.eigvals(a_red.toarray()) if _in_strip(z)]
-    refined = refine_modes(gen, roots + collapsed)
+    # seeds: the roots, and the strip modes of exact memory, the one-slice
+    # ladder (dimension 1000, solved dense); both refined on the ns = 64 ladder
+    exact = gen.on_memory_grid(exact_memory_grid(ELASTIC_KERNEL))
+    exact_modes = [z for z in la.eigvals(exact.A.toarray()) if _in_strip(z)]
+    refined = refine_modes(gen, roots + exact_modes)
     beam = [z for z in refined.distinct if _in_strip(z)]
     worst_re = worst_im = 0.0
     ok = len(beam) > 0 and len(roots) > 0 and bool(refined.converged.all())
@@ -347,7 +347,7 @@ def test_criterion_08_spectrum_matches_characteristic_roots(acceptance):
 
 
 # =====================================================================
-# 9: full history ladder against the exact collapsed memory column
+# 9: full history ladder against exact memory, the one-slice ladder
 # =====================================================================
 
 def test_criterion_09_memory_reduction_cross_validation(acceptance):

@@ -173,6 +173,7 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("changes", [
         {"disc.nx = 10": "disc.nx = 2"},
+        # not a key: the history truncation tolerance is fixed
         {"disc.ns = 12": "disc.ns = 12\ndisc.trunc_tol = 1e-4"},
         {"kernel.a = 0.5": "kernel.a = 2"},
         {"experiment = simulate": "experiment = full-report\nspec.lambda_min = 1000"},

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
-from bresselab.kernel import KernelSpec, total_mass
+from bresselab.kernel import KernelSpec, evaluate, laplace, total_mass
 from bresselab.model import BoundaryCondition, PhysicalParams
 from bresselab.discretize import (
     SLICE_BLOCK,
     CondensedFront,
     Generator,
+    SliceSolver,
     assemble_generator,
     assemble_timoshenko_generator,
     build_memory_grid,
@@ -19,7 +20,9 @@ from bresselab.discretize import (
     coordinates,
     dissipation_rates,
     energy,
+    exact_memory_grid,
 )
+from bresselab.spectra import compute_spectrum
 
 K_HALF = KernelSpec(0.5, 1.0)
 ALL_ONES = PhysicalParams(rho1=1, rho2=1, k1=1, k2=1, k3=1, ell=1.0)
@@ -54,14 +57,14 @@ class TestSpatialGrid:
 
 class TestMemoryGrid:
     def test_truncation_length_frozen(self):
-        mg = build_memory_grid(K_HALF, ns=32, trunc_tol=1e-8)
+        mg = build_memory_grid(K_HALF, ns=32)
         assert mg.s_max == pytest.approx(18.420680743952367, rel=1e-13)
         assert mg.ds == pytest.approx(mg.s_max / 32, rel=1e-13)
 
     def test_weights_reproduce_kernel_mass(self):
         # the product-trapezoid weights integrate g exactly up to the
         # truncated tail, so sum(w_j g(s_j)) ~ g0 with error ~ g0 * tol
-        mg = build_memory_grid(K_HALF, ns=64, trunc_tol=1e-8)
+        mg = build_memory_grid(K_HALF, ns=64)
         mass = float(np.sum(mg.weights * np.exp(-mg.s)) * K_HALF.a)
         assert abs(mass - total_mass(K_HALF)) < 1e-6, (
             f"quadrature mass {mass} vs exact {total_mass(K_HALF)}"
@@ -72,16 +75,59 @@ class TestMemoryGrid:
         with pytest.raises(ValueError):
             build_memory_grid(K_HALF, ns=4)
 
-    def test_loose_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            build_memory_grid(K_HALF, ns=32, trunc_tol=1e-6)
-
     def test_zero_kernel_plain_trapezoid(self):
         mg = build_memory_grid(KernelSpec(0.0, 1.0), ns=16)
         # interior weights ds, end weights ds/2
         assert mg.weights[0] == pytest.approx(0.5 * mg.ds, rel=1e-13)
         assert mg.weights[1] == pytest.approx(mg.ds, rel=1e-13)
         assert mg.weights[-1] == pytest.approx(0.5 * mg.ds, rel=1e-13)
+
+
+def memory_transfer(mgrid, kernel, z):
+    """sigma(z) = w^T L(z)^-1 1 of the ladder on mgrid, w_k = W_k g(s_k)."""
+    w = mgrid.weights[1:] * evaluate(kernel, mgrid.s[1:])
+    slices = SliceSolver(z + 1.0 / mgrid.ds, 1.0 / mgrid.ds, mgrid.ns)
+    return w @ slices.solve(np.ones((mgrid.ns, 1)))[:, 0]
+
+
+class TestExactMemory:
+    # the continuum's transfer int g(s) (1 - exp(-z s)) / z ds = g0 / (z + c)
+    # is the kernel's Laplace transform over c
+    @pytest.mark.parametrize("kernel", [K_HALF, KernelSpec(0.7, 2.5), KernelSpec(3.0, 0.2)],
+                             ids=["a0.5-c1", "a0.7-c2.5", "a3-c0.2"])
+    def test_one_slice_grid_is_exact_memory(self, kernel):
+        mg = exact_memory_grid(kernel)
+        assert mg.ns == 1 and mg.ds == pytest.approx(1.0 / kernel.c, rel=1e-15)
+        assert mg.weights[1] * evaluate(kernel, mg.s[1]) == pytest.approx(total_mass(kernel), rel=1e-15)
+        assert mg.mass_error <= 1e-15 * total_mass(kernel)
+        for z in (0.3 + 7j, -0.1 + 2j, 40.0, 1e-3j, 1e3j):
+            exact = laplace(kernel, z) / kernel.c
+            assert abs(memory_transfer(mg, kernel, z) / exact - 1.0) <= 1e-14, z
+
+    @pytest.mark.parametrize("ns,gap", [(32, 0.240), (64, 0.131), (128, 0.069)])
+    def test_ladder_high_frequency_gap_is_the_unheld_node_weight(self, ns, gap):
+        # z sigma(z) tends to g0 - w0, with w0 = W_0 g(0) the weight of the
+        # s = 0 node, whose slice the state does not carry
+        mg = build_memory_grid(K_HALF, ns=ns)
+        w0 = mg.weights[0] * K_HALF.a / total_mass(K_HALF)
+        assert w0 == pytest.approx(gap, abs=5e-4)
+        for lam in (20.0, 190.0):
+            sigma = memory_transfer(mg, K_HALF, 1j * lam)
+            assert abs(sigma / (laplace(K_HALF, 1j * lam) / K_HALF.c) - 1.0) == pytest.approx(w0, rel=2e-3), lam
+
+    @pytest.mark.parametrize("nx", [6, 13])
+    @pytest.mark.parametrize("bc", ["ddd", "dddd", "dndd", "dnnd"])
+    def test_one_slice_generator_is_dissipative_and_mirror_symmetric(self, bc, nx):
+        # thermal and gradient history included; compute_spectrum refuses
+        # a generator that breaks the mirror
+        params = ALL_ONES if bc == "ddd" else THERMAL
+        gen = assemble_generator(params, K_HALF, BoundaryCondition.from_string(bc),
+                                 build_spatial_grid(1.0, nx), exact_memory_grid(K_HALF))
+        assert gen.ns_active == 1 and gen.sizes["eta"] == gen.n_eta
+        ba = (gen.B @ gen.A).toarray()
+        lam = np.linalg.eigvalsh(ba + ba.T)
+        assert lam[-1] <= 1e-13 * np.abs(lam).max(), f"{bc}: lambda_max(BA + A^T B) = {lam[-1]:.3e}"
+        assert compute_spectrum(gen).eigenvalues.size == gen.dim
 
 
 class TestStiffnessStencil:

@@ -18,6 +18,7 @@ from bresselab.discretize import (
     build_spatial_grid,
     dissipation_rates,
     energy,
+    exact_memory_grid,
     reflection,
 )
 from bresselab.kernel import KernelSpec
@@ -33,7 +34,7 @@ def _coefficient(lo=0.2, hi=5.0):
 
 @st.composite
 def generators(draw):
-    """A generator at random admissible parameters, kernel, bc and grid."""
+    """A generator at random admissible parameters, kernel, bc and grids."""
     bc = draw(st.sampled_from(["ddd", "dddd", "dndd", "dnnd"]))
     params = PhysicalParams(
         rho1=draw(_coefficient()), rho2=draw(_coefficient()), k1=draw(_coefficient()),
@@ -44,10 +45,14 @@ def generators(draw):
     # a / c < k2: the damped shear modulus k2 - a/c stays positive
     c = draw(_coefficient())
     kern = KernelSpec(draw(st.floats(0.0, 0.95)) * params.k2 * c, c)
-    nx, ns = draw(st.integers(4, 12)), draw(st.integers(8, 16))
+    nx = draw(st.integers(4, 12))
+    # the one-slice grid is exact memory: the same assembly, one history slice
+    mgrid = draw(st.one_of(
+        st.just(exact_memory_grid(kern)),
+        st.integers(8, 16).map(lambda ns: build_memory_grid(kern, ns=ns)),
+    ))
     return assemble_generator(
-        params, kern, BoundaryCondition.from_string(bc),
-        build_spatial_grid(params.length, nx), build_memory_grid(kern, ns=ns),
+        params, kern, BoundaryCondition.from_string(bc), build_spatial_grid(params.length, nx), mgrid,
     )
 
 

@@ -210,13 +210,17 @@ class TestMonotonicity:
 
 
 class TestHistoryCollapse:
-    def test_gap_shrinks_first_order_in_ds(self):
-        # the collapsed single-field reduction is exact for the
-        # exponential kernel; the ladder converges to it at O(ds)
-        p = PhysicalParams(rho1=1, rho2=1, k1=1, k2=2, k3=1, ell=1.0)
+    @pytest.mark.parametrize("bc", ["ddd", "dddd", "dndd", "dnnd"])
+    def test_gap_shrinks_first_order_in_ds(self, bc):
+        # the one-slice ladder is exact memory for the exponential
+        # kernel; the ladder converges to it at O(ds)
+        if bc == "ddd":
+            p, a = PhysicalParams(rho1=1, rho2=1, k1=1, k2=2, k3=1, ell=1.0), 0.5
+        else:
+            p, a = THERMAL, 0.25
         gaps = []
         for ns in (64, 128):
-            gen = make_gen(params=p, nx=8, ns=ns)
+            gen = make_gen(params=p, a=a, nx=8, ns=ns, bc=bc)
             u0 = initial_state(gen, "smooth_bump")
             gaps.append(collapsed_history_gap(gen, u0, T=5.0, dt=0.02))
         ratio = gaps[0] / gaps[1]
