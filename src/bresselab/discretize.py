@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -128,7 +127,8 @@ def build_memory_grid(kernel: KernelSpec, ns: int = 32) -> MemoryGrid:
 
     g0 = total_mass(kernel)
     mass_error = float(abs(np.sum(weights * kernel.a * decay) - g0))
-    if mass_error > MASS_CHECK_TOL * max(1.0, g0):
+    # a NaN error (0/0 weights of an underflowing amplitude) fails too
+    if not mass_error <= MASS_CHECK_TOL * max(1.0, g0):
         raise ValueError(
             f"memory quadrature mass check failed: |sum w g - g0| = {mass_error:.3e} "
             f"exceeds {MASS_CHECK_TOL * max(1.0, g0):.3e}; refine ns"
@@ -225,6 +225,8 @@ class Generator:
     n_eta: int
     slice_weights: np.ndarray          # W_k, k = 1..ns (empty when a = 0)
     slice_energy: sp.csr_matrix | None  # per-slice Gram of the memory term
+    slice_force: sp.csr_matrix | None   # F: force of one unit-weight slice on dpsi (n_psi x n_eta)
+    slice_inject: sp.csr_matrix | None  # J: dpsi injected into a slice (n_eta x n_psi)
 
     @property
     def dim(self) -> int:
@@ -248,10 +250,6 @@ class Generator:
         delta = sp.identity(ns) - sp.eye(ns, k=-1)
         across = sp.diags(w - np.append(w[1:], 0.0)) + delta.T @ sp.diags(w) @ delta
         return sp.kron((-0.5 / self.mgrid.ds) * across, self.slice_energy, format="csr")
-
-    @property
-    def history_ladder(self) -> HistoryLadder:
-        return HistoryLadder(self.layout["eta"], self.slice_weights, self.mgrid.ds) if self.ns_active else NO_HISTORY
 
     def on_memory_grid(self, mgrid: MemoryGrid) -> Generator:
         """The same variant (include_w kept) reassembled on another history grid."""
@@ -379,7 +377,7 @@ def _assemble(params, kernel, bc, grid, mgrid, include_w):
     has_memory = w_slices.size > 0
     g_psi = grads["psi"]
     eta_rep = "gradient" if bc.psi_neumann else "nodal"
-    n_eta, slice_energy = 0, None
+    n_eta, slice_energy, force_one, inject = 0, None, None, None
     if has_memory:
         if bc.psi_neumann:
             n_eta = nx + 1
@@ -462,6 +460,8 @@ def _assemble(params, kernel, bc, grid, mgrid, include_w):
         n_eta=n_eta,
         slice_weights=np.asarray(w_slices, dtype=float),
         slice_energy=slice_energy,
+        slice_force=force_one,
+        slice_inject=inject,
     )
 
 
@@ -471,17 +471,6 @@ def _assemble(params, kernel, bc, grid, mgrid, include_w):
 
 # Most history slices one dense Toeplitz block of L^-1 covers.
 SLICE_BLOCK = 64
-
-
-class HistoryLadder(NamedTuple):
-    """The slice-major history block eta, its slice weights W_k g(s_k) and spacing ds."""
-
-    eta: slice
-    weights: np.ndarray
-    ds: float
-
-
-NO_HISTORY = HistoryLadder(slice(0, 0), np.zeros(0), 1.0)
 
 
 class SliceSolver:
@@ -516,9 +505,9 @@ class CondensedFront:
     The front is every entry outside the ladder (positions, velocities,
     theta and q).  The history block of z I - A is kron(L(z), I) with
     L(z) = (z + 1/ds) I - (1/ds) N, and it meets the front only through
-    -kron(1, J), J injecting the shear velocity into a slice, and
-    -kron(w^T, F), F the force of one unit-weight slice on the dpsi rows.
-    Eliminating it leaves
+    -kron(1, J) and -kron(w^T, F), with F = gen.slice_force and
+    J = gen.slice_inject on the dpsi rows and columns.  Eliminating it
+    leaves
 
         T(z) = z I - A_FF - sigma(z) F J,    T'(z) = I - sigma'(z) F J,
 
@@ -526,17 +515,18 @@ class CondensedFront:
     Off z = -1/ds, z is an eigenvalue of A exactly when T(z) is singular.
     """
 
-    def __init__(self, A: sp.spmatrix, ladder: HistoryLadder = NO_HISTORY):
-        A, (eta, self.weights, self.ds) = sp.csr_matrix(A), ladder
-        ns = self.weights.size
-        self.eta, self.n_eta = eta, (eta.stop - eta.start) // ns if ns else 0
-        self.index = np.r_[0:eta.start, eta.stop:A.shape[0]]
-        first, a_front = slice(eta.start, eta.start + self.n_eta), A[self.index]
-        self.a_ff, self.inject = a_front[:, self.index], A[first][:, self.index]
-        # entry-wise division: the reciprocal of a subnormal weight overflows
-        self.force = a_front[:, first]
-        self.force.data /= self.weights[0] if ns else 1.0
-        self.fj = self.force @ self.inject
+    def __init__(self, gen: Generator):
+        self.weights, self.ds, self.n_eta = gen.slice_weights, gen.mgrid.ds, gen.n_eta
+        # dpsi precedes eta in every layout, so it has the same slice in the front
+        self.eta, self.dpsi = gen.layout.get("eta", slice(0, 0)), gen.layout["dpsi"]
+        self.index = np.r_[0:self.eta.start, self.eta.stop:gen.dim]
+        self.a_ff = gen.A[self.index][:, self.index]
+        n_psi = self.dpsi.stop - self.dpsi.start
+        self.force, self.inject = (
+            (gen.slice_force, gen.slice_inject) if self.n_eta
+            else (sp.csr_matrix((n_psi, 0)), sp.csr_matrix((0, n_psi)))
+        )
+        self.fj = _place_blocks(self.index.size, [(self.dpsi, self.dpsi, self.force @ self.inject)])
 
     def at(self, z: complex) -> tuple[sp.csr_matrix, sp.csr_matrix]:
         """(T(z), T'(z)), with sigma'(z) = -w^T L(z)^-2 1."""
@@ -545,10 +535,6 @@ class CondensedFront:
         sigma, slope = self.weights @ b[:, 0], -(self.weights @ slices.solve(b)[:, 0])
         eye = sp.identity(self.index.size)
         return z * eye - self.a_ff - sigma * self.fj, eye - slope * self.fj
-
-    def solver(self, z: complex, factor) -> ShiftedSolver:
-        """Solves with z I - A and its adjoint; factor(T(z) in CSC) returns an LU with solve(v, trans)."""
-        return ShiftedSolver(self, z, factor)
 
 
 class ShiftedSolver:
@@ -566,49 +552,40 @@ class ShiftedSolver:
         x_E = L^-H (r_E + w (F^T x_F)^T),
 
     where L^-H = L(conj z)^-T is the slice solve at conj(z) run over the
-    slices in reverse order.  T(z) is factored once, by the caller's
-    factor.  F and J touch only the dpsi rows and columns, and are kept
-    as dense blocks on those.  A real z and a real r stay real.
+    slices in reverse order.  T(z) is factored once by factor, which
+    takes T(z) in CSC and returns an LU with solve(v, trans); a real z
+    takes a real r.  F and J are dense blocks on the dpsi slice.
     """
 
     def __init__(self, front: CondensedFront, z: complex, factor):
         ns, ds = front.weights.size, front.ds
-        self._eta, self._shape, self._weights = front.eta, (ns, front.n_eta), front.weights
+        self._eta, self._dpsi, self._shape, self._weights = front.eta, front.dpsi, (ns, front.n_eta), front.weights
         self._dtype = np.result_type(z, float)
         self._slices = SliceSolver(z + 1.0 / ds, 1.0 / ds, ns)
         self._slices_conj = SliceSolver(np.conj(z) + 1.0 / ds, 1.0 / ds, ns)
         self._c = self._slices.solve(front.weights[::-1, np.newaxis])[::-1, 0]
         self._b_conj = self._slices_conj.solve(np.ones((ns, 1)))[:, 0]
         self._lu = factor(front.at(z)[0].tocsc())
-        self._force_rows = np.flatnonzero(front.force.getnnz(axis=1))
-        self._force = front.force[self._force_rows].toarray()
-        self._inject_cols = np.flatnonzero(front.inject.getnnz(axis=0))
-        self._inject = front.inject[:, self._inject_cols].toarray()
+        self._force, self._inject = front.force.toarray(), front.inject.toarray()
 
     def solve(self, r: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        e0, e1 = self._eta.start, self._eta.stop
+        e0, e1, dpsi = self._eta.start, self._eta.stop, self._dpsi
         dtype = np.result_type(r, self._dtype)
         r_eta = r[e0:e1].reshape(self._shape)
         r_front = np.concatenate((r[:e0], r[e1:])).astype(dtype, copy=False)
         x = np.empty(r.shape, dtype)
         if adjoint:
-            r_front[self._inject_cols] += self._inject.T @ (self._b_conj @ r_eta)
-            x_front = self._front_solve(r_front, "H")
-            r_eta = r_eta + np.outer(self._weights, self._force.T @ x_front[self._force_rows])
+            r_front[dpsi] += self._inject.T @ (self._b_conj @ r_eta)
+            x_front = self._lu.solve(r_front, "H")
+            r_eta = r_eta + np.outer(self._weights, self._force.T @ x_front[dpsi])
             x[e0:e1] = self._slices_conj.solve(r_eta[::-1])[::-1].ravel()
         else:
-            r_front[self._force_rows] += self._force @ (self._c @ r_eta)
-            x_front = self._front_solve(r_front, "N")
-            self._slices.solve(r_eta + self._inject @ x_front[self._inject_cols], out=x[e0:e1].reshape(self._shape))
+            r_front[dpsi] += self._force @ (self._c @ r_eta)
+            x_front = self._lu.solve(r_front, "N")
+            self._slices.solve(r_eta + self._inject @ x_front[dpsi], out=x[e0:e1].reshape(self._shape))
         x[:e0] = x_front[:e0]
         x[e1:] = x_front[e0:]
         return x
-
-    def _front_solve(self, v: np.ndarray, trans: str) -> np.ndarray:
-        if v.dtype == self._dtype:
-            return self._lu.solve(v, trans)
-        # a real factor takes a complex v in two real solves
-        return self._lu.solve(v.real.copy(), trans) + 1j * self._lu.solve(v.imag.copy(), trans)
 
 
 # =====================================================================

@@ -12,14 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .discretize import (
-    NO_HISTORY,
     CondensedFront,
     Generator,
-    HistoryLadder,
+    ShiftedSolver,
     _position_fields,
     coordinates,
     dissipation_rates,
@@ -63,13 +61,13 @@ class Stepper:
     positive masses), so diagonal pivots stay safe.
     """
 
-    def __init__(self, A: sp.spmatrix, dt: float, ladder: HistoryLadder = NO_HISTORY):
+    def __init__(self, gen: Generator, dt: float):
         if not (np.isfinite(dt) and dt > 0.0):
             raise ValueError(f"dt must be finite and > 0, got {dt}")
         self._scale = 4.0 / dt
         # splu is looked up when T is factored, so a patched module-level splu takes effect
-        self._solver = CondensedFront(A, ladder).solver(
-            2.0 / dt, lambda t: splu(t, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
+        self._solver = ShiftedSolver(
+            CondensedFront(gen), 2.0 / dt, lambda t: splu(t, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
         )
 
     def advance(self, u: np.ndarray) -> np.ndarray:
@@ -181,7 +179,7 @@ def simulate(
         dt = min(default_dt(gen) if dt is None else dt, T)
         n_steps = int(np.ceil(T / dt - 1e-12))
         dt = T / n_steps  # land exactly on T
-        stepper = Stepper(gen.A, dt, gen.history_ladder)
+        stepper = Stepper(gen, dt)
     else:
         dt = 0.0
     steps = [k for k in range(n_steps + 1) if k % stride == 0 or k == n_steps]
@@ -229,7 +227,7 @@ def collapsed_history_gap(gen: Generator, u0: np.ndarray, T: float, dt: float) -
     n_steps = max(1, int(round(T / dt)))
     u_full = np.asarray(u0, dtype=float)
     u_exact = np.insert(np.delete(u_full, eta), exact.layout["eta"].start, np.zeros(exact.n_eta))
-    full, one_slice = (Stepper(g.A, T / n_steps, g.history_ladder) for g in (gen, exact))
+    full, one_slice = (Stepper(g, T / n_steps) for g in (gen, exact))
     for _ in range(n_steps):
         u_full, u_exact = full.advance(u_full), one_slice.advance(u_exact)
 

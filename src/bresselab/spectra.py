@@ -24,7 +24,7 @@ import scipy.sparse as sp
 from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
-from .discretize import CondensedFront, Generator, reflection
+from .discretize import CondensedFront, Generator, ShiftedSolver, reflection
 from .model import wave_speeds
 
 # Largest dimension fed to the dense eigensolver.
@@ -276,7 +276,7 @@ def refine_modes(gen: Generator, seeds) -> ModeRefinement:
     the update is at most REFINE_TOL * max(1, |z|).  A seed short of that
     after REFINE_MAX_ITER steps returns its last iterate, not converged.
     """
-    front = CondensedFront(gen.A, gen.history_ladder)
+    front = CondensedFront(gen)
     start = np.random.default_rng(0).standard_normal(front.index.size).astype(complex)
     seeds = np.asarray(seeds, dtype=complex).ravel()
     modes, residuals, iterations = seeds.copy(), np.empty(seeds.size), np.zeros(seeds.size, int)
@@ -416,7 +416,7 @@ def resolvent_scan(gen: Generator, lam: np.ndarray, max_iter: int = 400) -> Reso
             f"requested frequency {lam.max():.6g} exceeds the grid resolution cap {cap:.6g}"
         )
     r = energy_cholesky(gen)
-    front = CondensedFront(gen.A, gen.history_ladder)
+    front = CondensedFront(gen)
     a, b = gen.A, gen.B
     n = gen.dim
     rng = np.random.default_rng(1234)
@@ -426,7 +426,7 @@ def resolvent_scan(gen: Generator, lam: np.ndarray, max_iter: int = 400) -> Reso
     iters = np.empty(lam.size, dtype=int)
     converged = np.zeros(lam.size, dtype=bool)
     for j, lv in enumerate(lam):
-        c = front.solver(1j * lv, splu)
+        c = ShiftedSolver(front, 1j * lv, splu)
         x = x0.copy()
         x /= np.sqrt(abs(np.vdot(x, b @ x)))
         sig2_old = np.inf

@@ -4,6 +4,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from bresselab.kernel import KernelSpec, evaluate, laplace, total_mass
@@ -12,6 +13,7 @@ from bresselab.discretize import (
     SLICE_BLOCK,
     CondensedFront,
     Generator,
+    ShiftedSolver,
     SliceSolver,
     assemble_generator,
     assemble_timoshenko_generator,
@@ -40,6 +42,14 @@ def small_generator(bc_name="ddd", params=None, nx=12, ns=16, kernel=K_HALF):
         params, kernel, bc, build_spatial_grid(params.length, nx),
         build_memory_grid(kernel, ns=ns),
     )
+
+
+def variant_generator(bc_name, kernel, grid, mgrid):
+    """ddd (ALL_ONES), a thermal variant (THERMAL) or the two-field straight beam."""
+    if bc_name == "two-field":
+        return assemble_timoshenko_generator(STRAIGHT, kernel, grid, mgrid)
+    params = ALL_ONES if bc_name == "ddd" else THERMAL
+    return assemble_generator(params, kernel, BoundaryCondition.from_string(bc_name), grid, mgrid)
 
 
 class TestSpatialGrid:
@@ -258,6 +268,27 @@ class TestLayoutAndExport:
         assert "w" not in gen.layout and "dw" not in gen.layout
 
 
+class TestLadderCoupling:
+    # the assembly decides once how the ladder meets the shear velocity:
+    # A[dpsi, eta] = kron(w^T, F) and A[eta, dpsi] = kron(1, J)
+    @pytest.mark.parametrize("memory", ["ns12", "exact"])
+    @pytest.mark.parametrize("bc", ["ddd", "dddd", "dndd", "dnnd", "two-field"])
+    def test_ladder_blocks_are_the_slice_force_and_injection(self, bc, memory):
+        mgrid = build_memory_grid(K_HALF, 12) if memory == "ns12" else exact_memory_grid(K_HALF)
+        gen = variant_generator(bc, K_HALF, build_spatial_grid(1.0, 7), mgrid)
+        dpsi, eta = gen.layout["dpsi"], gen.layout["eta"]
+        assert gen.slice_force.shape == (dpsi.stop - dpsi.start, gen.n_eta)
+        force = sp.kron(gen.slice_weights[np.newaxis, :], gen.slice_force)
+        inject = sp.kron(np.ones((gen.ns_active, 1)), gen.slice_inject)
+        assert (gen.A[dpsi][:, eta] != force).nnz == 0
+        assert (gen.A[eta][:, dpsi] != inject).nnz == 0
+
+    def test_no_memory_has_no_ladder(self):
+        gen = small_generator(kernel=KernelSpec(0.0, 1.0))
+        assert "eta" not in gen.layout
+        assert gen.slice_force is None and gen.slice_inject is None
+
+
 SHIFTS = {"0.3+7i": 0.3 + 7j, "-0.2+2i": -0.2 + 2j, "2/dt": 2.0 / 0.05}
 
 
@@ -278,17 +309,14 @@ class TestCondensedFront:
     @pytest.mark.parametrize("bc", ["ddd", "dddd", "dndd", "dnnd", "two-field"])
     def test_solve_matches_dense_solve(self, bc, nx, ns, a, z, adjoint):
         kernel = KernelSpec(a, 1.0)
-        grid, mgrid = build_spatial_grid(1.0, nx), build_memory_grid(kernel, ns=ns)
-        if bc == "two-field":
-            gen = assemble_timoshenko_generator(STRAIGHT, kernel, grid, mgrid)
-        else:
-            params = ALL_ONES if bc == "ddd" else THERMAL
-            gen = assemble_generator(params, kernel, BoundaryCondition.from_string(bc), grid, mgrid)
+        gen = variant_generator(bc, kernel, build_spatial_grid(1.0, nx), build_memory_grid(kernel, ns=ns))
         rng = np.random.default_rng(3)
-        r = rng.standard_normal(gen.dim) + 1j * rng.standard_normal(gen.dim)
+        r = rng.standard_normal(gen.dim)
+        if np.iscomplex(z):  # a real shift, the time step's, takes a real right-hand side
+            r = r + 1j * rng.standard_normal(gen.dim)
         c = z * np.eye(gen.dim) - gen.A.toarray()
         want = np.linalg.solve(c.conj().T if adjoint else c, r)
-        got = CondensedFront(gen.A, gen.history_ladder).solver(z, splu).solve(r, adjoint=adjoint)
+        got = ShiftedSolver(CondensedFront(gen), z, splu).solve(r, adjoint=adjoint)
         err = np.linalg.norm(got - want) / np.linalg.norm(want)
         assert err <= 1e-12, f"{bc} nx={nx} ns={ns} a={a} z={z} adjoint={adjoint}: off by {err:.3e}"
 
@@ -297,8 +325,8 @@ class TestCondensedFront:
         # sigma(z) = w^T L(z)^-1 1 from a dense L(z) over three slice blocks,
         # and T'(z) against a central difference of T
         gen = small_generator(bc, params=ALL_ONES if bc == "ddd" else THERMAL, nx=6, ns=2 * SLICE_BLOCK + 5)
-        front = CondensedFront(gen.A, gen.history_ladder)
-        w, ds = gen.history_ladder.weights, gen.history_ladder.ds
+        front = CondensedFront(gen)
+        w, ds = gen.slice_weights, gen.mgrid.ds
         z = -0.2 + 2j
         lz = (z + 1.0 / ds) * np.eye(w.size) - np.eye(w.size, k=-1) / ds
         sigma = w @ np.linalg.solve(lz, np.ones(w.size))

@@ -98,7 +98,7 @@ def test_steps_never_raise_the_energy(gen, seed):
     u0 = np.random.default_rng(seed).standard_normal(gen.dim)
     e0 = energy(gen, u0)
     for dt in (default_dt(gen), 0.5):
-        stepper, u, e = Stepper(gen.A, dt, gen.history_ladder), u0, e0
+        stepper, u, e = Stepper(gen, dt), u0, e0
         for _ in range(5):
             u = stepper.advance(u)
             e_next = energy(gen, u)

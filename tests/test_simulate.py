@@ -74,7 +74,7 @@ class TestStepper:
         u = np.random.default_rng(5).standard_normal(gen.dim)
         m = np.eye(gen.dim) - 0.5 * dt * gen.A.toarray()
         want = 2.0 * np.linalg.solve(m, u) - u
-        got = Stepper(gen.A, dt, gen.history_ladder).advance(u)
+        got = Stepper(gen, dt).advance(u)
         err = np.linalg.norm(got - want) / np.linalg.norm(want)
         assert err <= 1e-12, f"bc={bc} nx={nx} dt={dt}: one step off by {err:.3e}"
 
@@ -95,7 +95,7 @@ class TestStepper:
 
         monkeypatch.setattr(simulate_module, "splu", recording_splu)
         gen = make_gen(params=ALL_ONES if bc == "ddd" else THERMAL, nx=nx, ns=32, bc=bc)
-        Stepper(gen.A, 0.05, gen.history_ladder)
+        Stepper(gen, 0.05)
         ((s, lu),) = factored
         assert s.shape[0] == gen.dim - gen.sizes["eta"]
         fill = lu.L.nnz + lu.U.nnz
