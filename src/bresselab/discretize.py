@@ -123,11 +123,12 @@ def build_memory_grid(kernel: KernelSpec, ns: int = 32) -> MemoryGrid:
     hat_int = np.zeros(ns + 1)
     np.add.at(hat_int, np.arange(ns), kernel.a * (a0 - a1 / ds))
     np.add.at(hat_int, np.arange(1, ns + 1), kernel.a * (a1 / ds))
-    weights = hat_int / (kernel.a * decay)
-
     g0 = total_mass(kernel)
-    mass_error = float(abs(np.sum(weights * kernel.a * decay) - g0))
-    # a NaN error (0/0 weights of an underflowing amplitude) fails too
+    # an amplitude whose products underflow gives 0/0 (or x/0) weights and
+    # a NaN (or inf) mass error, which the check refuses; numpy stays quiet
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weights = hat_int / (kernel.a * decay)
+        mass_error = float(abs(np.sum(weights * kernel.a * decay) - g0))
     if not mass_error <= MASS_CHECK_TOL * max(1.0, g0):
         raise ValueError(
             f"memory quadrature mass check failed: |sum w g - g0| = {mass_error:.3e} "
@@ -499,15 +500,36 @@ class SliceSolver:
         return out
 
 
+def front_order(gen: Generator) -> np.ndarray:
+    """The state indices outside the history ladder, in node order.
+
+    Stably sorted by coordinate, so the unknowns of one node (or of one
+    midpoint) sit side by side in layout order.  Every coupling of the
+    front reaches one node over at most, so a front operator in this
+    order is banded: no entry of T(z) lies more than 13 places off its
+    diagonal on any variant.
+    """
+    eta = gen.layout.get("eta", slice(0, 0))
+    coords = coordinates(gen)
+    x = np.empty(gen.dim)
+    for name, sl in gen.layout.items():
+        if name != "eta":
+            x[sl] = coords[name]
+    free = np.r_[0:eta.start, eta.stop:gen.dim]
+    return free[np.argsort(x[free], kind="stable")]
+
+
 class CondensedFront:
     """z I - A with its history ladder eliminated: the front operator T(z).
 
     The front is every entry outside the ladder (positions, velocities,
-    theta and q).  The history block of z I - A is kron(L(z), I) with
-    L(z) = (z + 1/ds) I - (1/ds) N, and it meets the front only through
-    -kron(1, J) and -kron(w^T, F), with F = gen.slice_force and
-    J = gen.slice_inject on the dpsi rows and columns.  Eliminating it
-    leaves
+    theta and q), held in node order: index is front_order(gen), and
+    a_ff, fj and T(z) are assembled in that order, so T(z) is banded.
+    dpsi holds the front positions of the shear velocities.  The history
+    block of z I - A is kron(L(z), I) with L(z) = (z + 1/ds) I - (1/ds) N,
+    and it meets the front only through -kron(1, J) and -kron(w^T, F),
+    with F = gen.slice_force and J = gen.slice_inject on the dpsi rows
+    and columns.  Eliminating it leaves
 
         T(z) = z I - A_FF - sigma(z) F J,    T'(z) = I - sigma'(z) F J,
 
@@ -517,16 +539,17 @@ class CondensedFront:
 
     def __init__(self, gen: Generator):
         self.weights, self.ds, self.n_eta = gen.slice_weights, gen.mgrid.ds, gen.n_eta
-        # dpsi precedes eta in every layout, so it has the same slice in the front
-        self.eta, self.dpsi = gen.layout.get("eta", slice(0, 0)), gen.layout["dpsi"]
-        self.index = np.r_[0:self.eta.start, self.eta.stop:gen.dim]
+        self.eta, self.index = gen.layout.get("eta", slice(0, 0)), front_order(gen)
+        # dpsi precedes eta in every layout, so its state index is its rank in the front
+        self.dpsi = np.argsort(self.index)[gen.layout["dpsi"]]
         self.a_ff = gen.A[self.index][:, self.index]
-        n_psi = self.dpsi.stop - self.dpsi.start
+        n_psi = self.dpsi.size
         self.force, self.inject = (
             (gen.slice_force, gen.slice_inject) if self.n_eta
             else (sp.csr_matrix((n_psi, 0)), sp.csr_matrix((0, n_psi)))
         )
-        self.fj = _place_blocks(self.index.size, [(self.dpsi, self.dpsi, self.force @ self.inject)])
+        fj = (self.force @ self.inject).tocoo()
+        self.fj = sp.csr_matrix((fj.data, (self.dpsi[fj.row], self.dpsi[fj.col])), shape=self.a_ff.shape)
 
     def at(self, z: complex) -> tuple[sp.csr_matrix, sp.csr_matrix]:
         """(T(z), T'(z)), with sigma'(z) = -w^T L(z)^-2 1."""
@@ -554,12 +577,15 @@ class ShiftedSolver:
     where L^-H = L(conj z)^-T is the slice solve at conj(z) run over the
     slices in reverse order.  T(z) is factored once by factor, which
     takes T(z) in CSC and returns an LU with solve(v, trans); a real z
-    takes a real r.  F and J are dense blocks on the dpsi slice.
+    takes a real r.  F and J are dense blocks on the dpsi rows of the front,
+    which is gathered from r by one take and scattered back into x by one
+    indexed store.
     """
 
     def __init__(self, front: CondensedFront, z: complex, factor):
         ns, ds = front.weights.size, front.ds
-        self._eta, self._dpsi, self._shape, self._weights = front.eta, front.dpsi, (ns, front.n_eta), front.weights
+        self._eta, self._index, self._dpsi = front.eta, front.index, front.dpsi
+        self._shape, self._weights = (ns, front.n_eta), front.weights
         self._dtype = np.result_type(z, float)
         self._slices = SliceSolver(z + 1.0 / ds, 1.0 / ds, ns)
         self._slices_conj = SliceSolver(np.conj(z) + 1.0 / ds, 1.0 / ds, ns)
@@ -569,22 +595,21 @@ class ShiftedSolver:
         self._force, self._inject = front.force.toarray(), front.inject.toarray()
 
     def solve(self, r: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        e0, e1, dpsi = self._eta.start, self._eta.stop, self._dpsi
+        index, dpsi = self._index, self._dpsi
         dtype = np.result_type(r, self._dtype)
-        r_eta = r[e0:e1].reshape(self._shape)
-        r_front = np.concatenate((r[:e0], r[e1:])).astype(dtype, copy=False)
+        r_eta = r[self._eta].reshape(self._shape)
+        r_front = r.take(index).astype(dtype, copy=False)
         x = np.empty(r.shape, dtype)
         if adjoint:
             r_front[dpsi] += self._inject.T @ (self._b_conj @ r_eta)
             x_front = self._lu.solve(r_front, "H")
             r_eta = r_eta + np.outer(self._weights, self._force.T @ x_front[dpsi])
-            x[e0:e1] = self._slices_conj.solve(r_eta[::-1])[::-1].ravel()
+            x[self._eta] = self._slices_conj.solve(r_eta[::-1])[::-1].ravel()
         else:
             r_front[dpsi] += self._force @ (self._c @ r_eta)
             x_front = self._lu.solve(r_front, "N")
-            self._slices.solve(r_eta + self._inject @ x_front[dpsi], out=x[e0:e1].reshape(self._shape))
-        x[:e0] = x_front[:e0]
-        x[e1:] = x_front[e0:]
+            self._slices.solve(r_eta + self._inject @ x_front[dpsi], out=x[self._eta].reshape(self._shape))
+        x[index] = x_front
         return x
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dtbsv
 from scipy.sparse.linalg import splu
 
 from .discretize import (
@@ -45,30 +46,73 @@ def default_dt(gen: Generator) -> float:
 SAMPLE_BLOCK = 16
 
 
+class BandLU:
+    """T = L U without pivoting, held in LAPACK band storage; solve is two dtbsv sweeps.
+
+    T is factored by the module-level splu in its natural order with
+    diagonal pivots, and L and U are copied into band storage.  That is
+    T's own factor only if SuperLU permuted neither rows nor columns (its
+    column elimination-tree postorder can move columns even in the
+    natural order), so any other permutation raises ValueError.  The
+    band of L and U is T's own, which a node-ordered front
+    (CondensedFront) keeps 13 or fewer places to each side of the diagonal.
+    """
+
+    def __init__(self, t):
+        lu = splu(t, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        identity = np.arange(t.shape[0])
+        if not (np.array_equal(lu.perm_r, identity) and np.array_equal(lu.perm_c, identity)):
+            raise ValueError("SuperLU permuted the front operator; its factor is not banded in node order")
+        self._lower, self._kl = _band_storage(lu.L.tocoo(), lower=True)
+        self._upper, self._ku = _band_storage(lu.U.tocoo(), lower=False)
+
+    def solve(self, v: np.ndarray, trans: str = "N") -> np.ndarray:
+        """T^-1 v, or T^-T v for trans "T" or "H" (T is real)."""
+        x = np.array(v, dtype=float)
+        if trans == "N":
+            dtbsv(self._kl, self._lower, x, lower=1, diag=1, overwrite_x=1)
+            dtbsv(self._ku, self._upper, x, overwrite_x=1)
+        else:
+            dtbsv(self._ku, self._upper, x, trans=1, overwrite_x=1)
+            dtbsv(self._kl, self._lower, x, lower=1, trans=1, diag=1, overwrite_x=1)
+        return x
+
+
+def _band_storage(m, lower: bool) -> tuple[np.ndarray, int]:
+    """(ab, k): the triangular COO matrix m in LAPACK band storage, k its bandwidth.
+
+    Lower: ab[i - j, j] = m[i, j].  Upper: ab[k + i - j, j] = m[i, j].
+    Fortran order, so dtbsv takes ab without a copy.
+    """
+    off = m.row - m.col if lower else m.col - m.row
+    k = int(off.max(initial=0))
+    ab = np.zeros((k + 1, m.shape[1]), order="F")
+    ab[off if lower else k - off, m.col] = m.data
+    return ab, k
+
+
 class Stepper:
     """Prefactored implicit-midpoint stepper u -> (I - dt/2 A)^-1 (I + dt/2 A) u.
 
     Since I + dt/2 A = 2 I - M with M = I - dt/2 A = (dt/2) (z I - A) at
     z = 2/dt, the map is u -> (4/dt) (z I - A)^-1 u - u, one forward
     solve of discretize.ShiftedSolver: the history ladder is condensed
-    out, and a step costs one LU solve with the front operator T(2/dt).
+    out, and a step costs one solve with the front operator T(2/dt).
 
-    T is factored by the module-level splu with a minimum-degree ordering
-    on the pattern of T + T^T and diagonal pivots.  Every diagonal entry
-    of z I - A_FF is at least z (positions, velocities and theta z, q
-    z + beta/tau), and the ladder only adds a nonnegative diagonal
-    (sigma(z) > 0 for real z > 0, and -F J is a Gram form scaled by
-    positive masses), so diagonal pivots stay safe.
+    The front is in node order, so T(2/dt) is banded, and BandLU factors
+    it in that order with diagonal pivots: a step is two banded
+    triangular sweeps.  Every diagonal entry of z I - A_FF is at least z
+    (positions, velocities and theta z, q z + beta/tau), and the ladder
+    only adds a nonnegative diagonal (sigma(z) > 0 for real z > 0, and
+    -F J is a Gram form scaled by positive masses), so diagonal pivots
+    stay safe.
     """
 
     def __init__(self, gen: Generator, dt: float):
         if not (np.isfinite(dt) and dt > 0.0):
             raise ValueError(f"dt must be finite and > 0, got {dt}")
         self._scale = 4.0 / dt
-        # splu is looked up when T is factored, so a patched module-level splu takes effect
-        self._solver = ShiftedSolver(
-            CondensedFront(gen), 2.0 / dt, lambda t: splu(t, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
-        )
+        self._solver = ShiftedSolver(CondensedFront(gen), 2.0 / dt, BandLU)
 
     def advance(self, u: np.ndarray) -> np.ndarray:
         x = self._solver.solve(u)

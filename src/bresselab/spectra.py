@@ -24,7 +24,7 @@ import scipy.sparse as sp
 from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
-from .discretize import CondensedFront, Generator, ShiftedSolver, reflection
+from .discretize import CondensedFront, Generator, ShiftedSolver, front_order, reflection
 from .model import wave_speeds
 
 # Largest dimension fed to the dense eigensolver.
@@ -381,20 +381,26 @@ def windowed_abscissa(gen: Generator, eigenvalues: np.ndarray) -> float:
 RESOLVENT_RTOL = 1e-4
 
 
-def energy_cholesky(gen: Generator) -> np.ndarray:
-    """Banded Cholesky factor of B (_energy_factor); ValueError if B is only semidefinite.
+def energy_cholesky(gen: Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(R, p): banded Cholesky factor of B[p][:, p] (_energy_factor) and the order p.
 
-    A zero-energy mode (dnnd's axial mean mode) leaves the energy metric
-    undefined; the fixed pivot rule decides, not whether round-off lets
-    a factorization through.
+    p is the front in node order (discretize.front_order) followed by the
+    history ladder.  B is block-diagonal between the two, and node order
+    keeps the front's band a few entries wide, where state order spreads
+    it over whole field blocks.  ValueError if B is only semidefinite: a
+    zero-energy mode (dnnd's axial mean mode) leaves the energy metric
+    undefined, and the fixed pivot rule decides, not whether round-off
+    lets a factorization through.
     """
-    r = _energy_factor(gen.B)
+    eta = gen.layout.get("eta", slice(0, 0))
+    order = np.r_[front_order(gen), eta.start:eta.stop]
+    r = _energy_factor(gen.B[order][:, order])
     if r is None:
         raise ValueError(
             "energy Gram matrix is only semidefinite (zero-energy mode); the resolvent "
             "norm in the energy metric is undefined for this variant"
         )
-    return r
+    return r, order
 
 
 def resolvent_scan(gen: Generator, lam: np.ndarray, max_iter: int = 400) -> ResolventScan:
@@ -405,7 +411,8 @@ def resolvent_scan(gen: Generator, lam: np.ndarray, max_iter: int = 400) -> Reso
     y = C^-1 B^-1 C^-H B x.  C^-1 and C^-H are the forward and adjoint
     solves of discretize.ShiftedSolver, so each sample factors only the
     front operator T(i lam); B^-1 is the banded Cholesky factor of
-    energy_cholesky, which refuses a semidefinite B with ValueError.
+    energy_cholesky, applied in its node order (vectors permuted in and
+    out), which refuses a semidefinite B with ValueError.
     Relative accuracy is driven well below 1e-3; iteration counts and a
     converged flag per sample are reported so stagnation is visible.
     """
@@ -415,7 +422,7 @@ def resolvent_scan(gen: Generator, lam: np.ndarray, max_iter: int = 400) -> Reso
         raise ValueError(
             f"requested frequency {lam.max():.6g} exceeds the grid resolution cap {cap:.6g}"
         )
-    r = energy_cholesky(gen)
+    r, order = energy_cholesky(gen)
     front = CondensedFront(gen)
     a, b = gen.A, gen.B
     n = gen.dim
@@ -433,9 +440,10 @@ def resolvent_scan(gen: Generator, lam: np.ndarray, max_iter: int = 400) -> Reso
         it = 0
         for it in range(1, max_iter + 1):
             # y = (C^H B C)^-1 B x
-            v = c.solve(b @ x, adjoint=True)
+            v = c.solve(b @ x, adjoint=True)[order]
             parts = la.cho_solve_banded((r, False), np.column_stack((v.real, v.imag)), check_finite=False)
-            y = c.solve(parts[:, 0] + 1j * parts[:, 1])
+            v[order] = parts[:, 0] + 1j * parts[:, 1]
+            y = c.solve(v)
             norm_y = np.sqrt(abs(np.vdot(y, b @ y)))
             y /= norm_y
             # Rayleigh quotient of the normal operator at y: ||C y||_B^2

@@ -10,6 +10,7 @@ import resource
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -207,9 +208,14 @@ class TestCliExitCodes:
         for old, new in changes.items():
             text = text.replace(old, new)
         out = tmp_path / "out"
-        code = main([str(write(tmp_path, text)), "--out", str(out)])
+        # outside pytest a warning would print to stderr above the refusal
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([str(write(tmp_path, text)), "--out", str(out)])
         assert code == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
         # the config is refused before any section writes an artifact
         assert list(out.glob("*")) == []
 

@@ -2,6 +2,8 @@
 # Implicit-midpoint integrator: conservation, accuracy, history collapse
 # =====================================================================
 
+import types
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -82,10 +84,9 @@ class TestStepper:
     @pytest.mark.parametrize("bc", ["ddd", "dddd"])
     def test_factor_fill_stays_near_matrix_nnz(self, bc, nx, monkeypatch):
         # the factor comes through the module-level splu, and what it
-        # factors is the front operator T(2/dt), history condensed out.  A
-        # minimum-degree ordering with diagonal pivots fills T about 1.97x
-        # (ddd) and 2.5x (dddd); COLAMD with partial pivoting fills it 2.4x
-        # and 3.0x, the natural order 57x to 150x
+        # factors is the front operator T(2/dt), history condensed out, in
+        # node order.  The natural order with diagonal pivots fills it
+        # 1.73x (ddd) and 2.17x (dddd) at nx = 80, all inside its band
         factored = []
         splu = simulate_module.splu
 
@@ -100,6 +101,22 @@ class TestStepper:
         assert s.shape[0] == gen.dim - gen.sizes["eta"]
         fill = lu.L.nnz + lu.U.nnz
         assert fill <= {"ddd": 2.2, "dddd": 2.75}[bc] * s.nnz, f"bc={bc} nx={nx}: factor holds {fill} nonzeros for {s.nnz}"
+
+    @pytest.mark.parametrize("perm", ["perm_r", "perm_c"])
+    def test_permuted_factor_is_refused(self, perm, monkeypatch):
+        # band storage holds T's own factor only when SuperLU permuted
+        # nothing; a permuted factor must stop the stepper, not skew a step
+        splu = simulate_module.splu
+
+        def permuting_splu(matrix, *args, **kwargs):
+            lu = splu(matrix, *args, **kwargs)
+            parts = {"L": lu.L, "U": lu.U, "perm_r": lu.perm_r, "perm_c": lu.perm_c}
+            parts[perm] = parts[perm][::-1]
+            return types.SimpleNamespace(**parts)
+
+        monkeypatch.setattr(simulate_module, "splu", permuting_splu)
+        with pytest.raises(ValueError, match="permuted"):
+            Stepper(make_gen(), 0.05)
 
 
 class TestSampling:
