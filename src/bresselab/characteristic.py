@@ -34,13 +34,31 @@ NEWTON_RTOL = 1e-9
 NEWTON_MAX_ITER = 50
 
 
+def _domain_refusal(params: PhysicalParams) -> str | None:
+    """Why the characteristic equation does not hold for params; None when it does."""
+    if params.ell != 0.0 or params.thermal or params.length != 1.0:
+        return "needs the straight elastic unit-length beam"
+    return None
+
+
+def branch_refusal(params: PhysicalParams) -> str | None:
+    """Why the characteristic branches do not apply to params; None when they do.
+
+    The characteristic equation is that of the straight elastic
+    unit-length beam, and its two asymptotic branches tell eigenvalues
+    apart only while the wave speeds differ.  Branch seeds, branch tags
+    and the characteristic experiment all follow this one rule.
+    """
+    refusal = _domain_refusal(params)
+    if refusal is None and equal_speed_condition(params):
+        refusal = "needs unequal wave speeds k1/rho1 != k2/rho2, whose asymptotic branches are distinct"
+    return refusal
+
+
 def _check_domain(params: PhysicalParams, kernel: KernelSpec, lam: complex) -> complex:
-    if params.ell != 0.0:
-        raise ValueError("characteristic analysis is for the straight beam (ell = 0)")
-    if params.thermal:
-        raise ValueError("characteristic analysis is for the elastic system")
-    if params.length != 1.0:
-        raise ValueError("characteristic analysis assumes unit length")
+    refusal = _domain_refusal(params)
+    if refusal is not None:
+        raise ValueError(f"characteristic analysis {refusal}")
     lam = complex(lam)
     if lam == 0:
         raise ValueError("lambda = 0 is outside the characteristic domain")
@@ -177,13 +195,13 @@ def branch_seeds(
 
     Branch 0 rides the shear wave family, i n pi sqrt(k2/rho2) shifted
     left by g(0)/(2 k2); branch 1 rides i n pi sqrt(k1/rho1) and drifts
-    back to the axis.  Rejected for equal wave speeds: the two families
-    then collide and seeds stop identifying a branch.
+    back to the axis.  ValueError where branch_refusal refuses params:
+    at equal wave speeds, for one, the two families collide and seeds
+    stop identifying a branch.
     """
-    if params.ell != 0.0 or params.thermal or params.length != 1.0:
-        raise ValueError("branch seeds are for the straight elastic unit-length beam")
-    if equal_speed_condition(params):
-        raise ValueError("equal wave speeds: the two asymptotic branches coincide")
+    refusal = branch_refusal(params)
+    if refusal is not None:
+        raise ValueError(f"branch seeds {refusal}")
     out = []
     for n in n_values:
         n = int(n)
@@ -257,15 +275,12 @@ def refine_char_root(
 
 
 @dataclass
-class BranchRoot:
+class BranchRoot(RootResult):
+    """A Newton root of one branch, with the branch index n and its seed."""
+
     branch: int
     n: int
     seed: complex
-    root: complex
-    residual: float
-    iterations: int
-    converged: bool
-    basin_escape: bool
 
 
 def track_branch(
@@ -275,22 +290,10 @@ def track_branch(
     branch: int,
 ) -> list[BranchRoot]:
     """Refine every seed of one branch."""
-    out = []
-    for n, seed in branch_seeds(params, kernel, n_values, branch):
-        res = refine_char_root(params, kernel, seed)
-        out.append(
-            BranchRoot(
-                branch=branch,
-                n=n,
-                seed=seed,
-                root=res.root,
-                residual=res.residual,
-                iterations=res.iterations,
-                converged=res.converged,
-                basin_escape=res.basin_escape,
-            )
-        )
-    return out
+    return [
+        BranchRoot(**vars(refine_char_root(params, kernel, seed)), branch=branch, n=n, seed=seed)
+        for n, seed in branch_seeds(params, kernel, n_values, branch)
+    ]
 
 
 @dataclass

@@ -519,6 +519,22 @@ def front_order(gen: Generator) -> np.ndarray:
     return free[np.argsort(x[free], kind="stable")]
 
 
+def band_storage(m: sp.spmatrix, lower: bool) -> tuple[np.ndarray, int]:
+    """(ab, k): the lower or the upper triangle of m in LAPACK band storage, k its bandwidth.
+
+    Lower: ab[i - j, j] = m[i, j] for i >= j.  Upper: ab[k + i - j, j] =
+    m[i, j] for i <= j.  Fortran order, so LAPACK takes ab without a copy.
+    """
+    m = m.tocoo()
+    keep = m.row >= m.col if lower else m.col >= m.row
+    row, col = m.row[keep], m.col[keep]
+    off = row - col if lower else col - row
+    k = int(off.max(initial=0))
+    ab = np.zeros((k + 1, m.shape[1]), order="F")
+    ab[off if lower else k - off, col] = m.data[keep]
+    return ab, k
+
+
 class CondensedFront:
     """z I - A with its history ladder eliminated: the front operator T(z).
 
@@ -655,19 +671,13 @@ def _pair(cols: np.ndarray, image: np.ndarray) -> np.ndarray:
 
 
 def coordinates(gen: Generator) -> dict[str, np.ndarray]:
-    """Physical coordinates of each stored field."""
+    """Physical coordinates of each stored field outside the history ladder."""
     g = gen.grid
     out: dict[str, np.ndarray] = {}
     for name, neumann in _position_fields(gen.bc, gen.include_w):
         x = g.nodes_neumann if neumann else g.nodes_dirichlet
         out[name] = x
         out["d" + name] = x
-    if gen.ns_active > 0:
-        out["eta_x"] = (
-            g.midpoints if gen.eta_rep == "gradient"
-            else (g.nodes_neumann if gen.bc.psi_neumann else g.nodes_dirichlet)
-        )
-        out["eta_s"] = gen.mgrid.s[1:]
     if gen.params.thermal:
         out["theta"] = g.nodes_dirichlet
         out["q"] = g.midpoints

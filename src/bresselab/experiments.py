@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .characteristic import branch_asymptote, branch_convergence, track_branch
+from .characteristic import branch_asymptote, branch_convergence, branch_refusal, track_branch
 from .configio import ConfigError, ExperimentConfig
 from .decay import classify_decay, fit_exponential, fit_polynomial
 from .discretize import (
@@ -25,7 +25,7 @@ from .discretize import (
     build_spatial_grid,
 )
 from .kernel import validate_hypotheses
-from .model import Regime, RegimeReport, classify_regime, equal_speed_condition
+from .model import Regime, RegimeReport, classify_regime
 from .simulate import initial_state, simulate
 from .spectra import (
     DENSE_DIM_CAP,
@@ -77,19 +77,6 @@ class _Report:
 # slope over less than an octave reads the scatter of a few peak
 # heights, not a growth law.
 MIN_ANCHOR_SPAN = 2.0
-
-
-def _straight_elastic(cfg: ExperimentConfig) -> bool:
-    return cfg.params.timoshenko and not cfg.params.thermal
-
-
-def _characteristic_refusal(cfg: ExperimentConfig) -> str | None:
-    """Why the characteristic roots do not apply to cfg; None when they do."""
-    if not _straight_elastic(cfg) or cfg.params.length != 1.0:
-        return "needs the straight elastic unit-length beam"
-    if equal_speed_condition(cfg.params):
-        return "needs unequal wave speeds k1/rho1 != k2/rho2, whose asymptotic branches are distinct"
-    return None
 
 
 class _RunContext:
@@ -147,30 +134,27 @@ class _RunContext:
 
     @cached_property
     def generator(self):
+        """The run's one assembly, which every section reads: two-field on the straight elastic beam.
+
+        There the longitudinal motion decouples undamped, so the
+        three-field generator would add modes on the axis to round-off
+        and a conserved share to the energy.
+        """
         cfg = self.cfg
+        if cfg.params.timoshenko and not cfg.params.thermal:
+            self.rep.say("spectrum: two-field straight-beam assembly (longitudinal modes decoupled)")
+            return self._build(assemble_timoshenko_generator, cfg.params, cfg.kernel, self.grid, self.mgrid)
         return self._build(assemble_generator, cfg.params, cfg.kernel, cfg.bc, self.grid, self.mgrid)
 
     @cached_property
-    def spectrum_generator(self):
-        """What spectra and resolvent scans read: two-field on the straight elastic beam.
-
-        There the longitudinal modes of the three-field generator decouple
-        undamped, on the axis to round-off.
-        """
-        cfg = self.cfg
-        if _straight_elastic(cfg):
-            return self._build(assemble_timoshenko_generator, cfg.params, cfg.kernel, self.grid, self.mgrid)
-        return self.generator
-
-    @cached_property
     def spectrum(self) -> SpectrumReport:
-        """Dense spectrum of spectrum_generator; a config error past the dense eigensolver cap."""
-        dim = self.spectrum_generator.dim
+        """Dense spectrum of the generator; a config error past the dense eigensolver cap."""
+        dim = self.generator.dim
         if dim > DENSE_DIM_CAP:
             raise ConfigError(
                 f"dense spectrum needs dimension <= {DENSE_DIM_CAP}, got {dim}; reduce disc.nx/disc.ns"
             )
-        return compute_spectrum(self.spectrum_generator)
+        return compute_spectrum(self.generator)
 
     @cached_property
     def resolvent_plan(self) -> tuple[float, float, float, np.ndarray, float]:
@@ -186,7 +170,7 @@ class _RunContext:
         kept anchors are fewer than 4 or span less than MIN_ANCHOR_SPAN.
         """
         cfg = self.cfg
-        gen = self.spectrum_generator
+        gen = self.generator
         self._build(energy_cholesky, gen)
         cap = resolution_cap(gen)
         hi = cap if cfg.lambda_max is None else min(cfg.lambda_max, cap)
@@ -329,16 +313,14 @@ def _halves_text(report: SpectrumReport) -> str:
 
 def run_spectrum(ctx: _RunContext, out_dir: Path) -> list[Path]:
     cfg, rep = ctx.cfg, ctx.rep
-    gen = ctx.spectrum_generator
-    if _straight_elastic(cfg):
-        rep.say("spectrum: two-field straight-beam assembly (longitudinal modes decoupled)")
+    gen = ctx.generator
     report = ctx.spectrum
     tags = [""] * len(report.eigenvalues)
-    if _straight_elastic(cfg):
-        try:
-            tags = ["" if t is None else str(t[0]) for t in match_branches(report, cfg.params, cfg.kernel)]
-        except ValueError as exc:
-            rep.say(f"branch tags unavailable: {exc}")
+    refusal = branch_refusal(cfg.params)
+    if refusal is None:
+        tags = ["" if t is None else str(t[0]) for t in match_branches(report, cfg.params, cfg.kernel)]
+    elif not gen.include_w:  # the straight elastic beam: say why its branches go untagged
+        rep.say(f"branch tags unavailable: {refusal}")
 
     spath = out_dir / "spectrum.csv"
     with open(spath, "w") as fh:
@@ -364,7 +346,7 @@ def run_resolvent(ctx: _RunContext, out_dir: Path) -> list[Path]:
     rep = ctx.rep
     report = ctx.regime_report
     lo, hi, cap, anchors, top = ctx.resolvent_plan
-    scan = resolvent_scan(ctx.spectrum_generator, anchors)
+    scan = resolvent_scan(ctx.generator, anchors)
     rpath = out_dir / "resolvent.csv"
     with open(rpath, "w") as fh:
         fh.write("lambda,inv_sigma_min\n")
@@ -398,7 +380,7 @@ def run_resolvent(ctx: _RunContext, out_dir: Path) -> list[Path]:
 
 def run_characteristic(ctx: _RunContext, out_dir: Path) -> list[Path]:
     cfg, rep = ctx.cfg, ctx.rep
-    refusal = _characteristic_refusal(cfg)
+    refusal = branch_refusal(cfg.params)
     if refusal is not None:
         raise ConfigError(f"characteristic experiment {refusal}")
     n_values = range(10, 31)
@@ -443,7 +425,7 @@ def run_full_report(ctx: _RunContext, out_dir: Path) -> list[Path]:
     files = run_simulate(ctx, out_dir)
     files += run_spectrum(ctx, out_dir)
     files += run_resolvent(ctx, out_dir)
-    refusal = _characteristic_refusal(ctx.cfg)
+    refusal = branch_refusal(ctx.cfg.params)
     if refusal is None:
         files += run_characteristic(ctx, out_dir)
     else:

@@ -20,6 +20,7 @@ from .discretize import (
     Generator,
     ShiftedSolver,
     _position_fields,
+    band_storage,
     coordinates,
     dissipation_rates,
     energy,
@@ -63,8 +64,8 @@ class BandLU:
         identity = np.arange(t.shape[0])
         if not (np.array_equal(lu.perm_r, identity) and np.array_equal(lu.perm_c, identity)):
             raise ValueError("SuperLU permuted the front operator; its factor is not banded in node order")
-        self._lower, self._kl = _band_storage(lu.L.tocoo(), lower=True)
-        self._upper, self._ku = _band_storage(lu.U.tocoo(), lower=False)
+        self._lower, self._kl = band_storage(lu.L, lower=True)
+        self._upper, self._ku = band_storage(lu.U, lower=False)
 
     def solve(self, v: np.ndarray, trans: str = "N") -> np.ndarray:
         """T^-1 v, or T^-T v for trans "T" or "H" (T is real)."""
@@ -76,19 +77,6 @@ class BandLU:
             dtbsv(self._ku, self._upper, x, trans=1, overwrite_x=1)
             dtbsv(self._kl, self._lower, x, lower=1, trans=1, diag=1, overwrite_x=1)
         return x
-
-
-def _band_storage(m, lower: bool) -> tuple[np.ndarray, int]:
-    """(ab, k): the triangular COO matrix m in LAPACK band storage, k its bandwidth.
-
-    Lower: ab[i - j, j] = m[i, j].  Upper: ab[k + i - j, j] = m[i, j].
-    Fortran order, so dtbsv takes ab without a copy.
-    """
-    off = m.row - m.col if lower else m.col - m.row
-    k = int(off.max(initial=0))
-    ab = np.zeros((k + 1, m.shape[1]), order="F")
-    ab[off if lower else k - off, m.col] = m.data
-    return ab, k
 
 
 class Stepper:

@@ -24,7 +24,8 @@ import scipy.sparse as sp
 from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
-from .discretize import CondensedFront, Generator, ShiftedSolver, front_order, reflection
+from .characteristic import branch_seeds
+from .discretize import CondensedFront, Generator, ShiftedSolver, band_storage, front_order, reflection
 from .model import wave_speeds
 
 # Largest dimension fed to the dense eigensolver.
@@ -100,12 +101,7 @@ def _energy_factor(b: sp.spmatrix) -> np.ndarray | None:
     which scale whole diagonal blocks, do not fail a definite one.
     """
     n = b.shape[0]
-    b = b.tocoo()
-    upper = b.col >= b.row
-    row, col, val = b.row[upper], b.col[upper], b.data[upper]
-    kd = int(np.max(col - row))
-    ab = np.zeros((kd + 1, n))
-    ab[kd + row - col, col] = val
+    ab, kd = band_storage(b, lower=False)
     diag = ab[kd].copy()
     try:
         r = la.cholesky_banded(ab, overwrite_ab=True, lower=False)
@@ -545,12 +541,9 @@ def match_branches(report: SpectrumReport, params, kernel) -> list:
     highest frequency.  An eigenvalue whose two nearest
     predictions differ by less than BRANCH_AMBIGUITY_RATIO relative to its
     own frequency is tagged None: the match would be a coin flip.
-    Returns one (branch, n, predicted_im) or None per eigenvalue.
+    Returns one (branch, n, predicted_im) or None per eigenvalue, and
+    raises ValueError where characteristic.branch_refusal refuses params.
     """
-    from .characteristic import branch_seeds
-
-    if params.ell != 0.0 or params.thermal:
-        raise ValueError("branch tags are defined for the straight elastic beam")
     vals = report.eigenvalues
     cap = np.max(np.abs(vals.imag)) if vals.size else 0.0
     sp0 = np.pi * np.sqrt(params.k2 / params.rho2)

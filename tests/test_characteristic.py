@@ -2,16 +2,23 @@
 # Closed-form boundary determinant, radicals, branch tracking
 # =====================================================================
 
+import dataclasses
+import functools
+import re
+
 import numpy as np
 import pytest
 
+from bresselab.cli import main
 from bresselab.kernel import KernelSpec, laplace
 from bresselab.model import PhysicalParams
+from bresselab.spectra import SpectrumReport, match_branches
 from bresselab.characteristic import (
     BranchRoot,
     boundary_determinant,
     branch_asymptote,
     branch_convergence,
+    branch_refusal,
     branch_seeds,
     char_point,
     refine_char_root,
@@ -120,6 +127,42 @@ class TestSeedsAndAsymptotes:
     def test_bad_index_rejected(self):
         with pytest.raises(ValueError):
             branch_seeds(STRAIGHT, K_HALF, [0], branch=0)
+
+
+STRAIGHT_ONLY = "needs the straight elastic unit-length beam"
+DISTINCT_SPEEDS = "needs unequal wave speeds k1/rho1 != k2/rho2, whose asymptotic branches are distinct"
+
+
+class TestBranchRefusal:
+    # one rule decides where the characteristic branches apply; seeds,
+    # branch tags and the characteristic experiment all follow it
+    @pytest.mark.parametrize("changes,refusal", [
+        ({"ell": 1.0}, STRAIGHT_ONLY),
+        ({"thermal": True, "rho3": 1.0, "delta": 1.0, "tau": 2.0}, STRAIGHT_ONLY),
+        ({"length": 2.0}, STRAIGHT_ONLY),
+        ({"k2": 1.0}, DISTINCT_SPEEDS),
+        ({}, None),
+    ], ids=["curved", "thermal", "length_2", "equal_speeds", "admissible"])
+    def test_seeds_tags_and_cli_follow_one_rule(self, tmp_path, capsys, changes, refusal):
+        params = dataclasses.replace(STRAIGHT, **changes)
+        assert branch_refusal(params) == refusal
+        seeds = functools.partial(branch_seeds, params, K_HALF, [3], branch=0)
+        report = SpectrumReport(np.array([-0.1 + 5.0j]), -0.1, 1, ((1, True),))
+        tags = functools.partial(match_branches, report, params, K_HALF)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("experiment = characteristic\nkernel.a = 0.5\nkernel.c = 1\n" + "".join(
+            f"params.{'L' if key == 'length' else key} = {str(value).lower()}\n"
+            for key, value in dataclasses.asdict(params).items()))
+        code = main([str(cfg), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        if refusal is None:
+            assert len(seeds()) == 1 and len(tags()) == 1
+            assert code == 0, err
+        else:
+            for call in (seeds, tags):
+                with pytest.raises(ValueError, match=re.escape(refusal)):
+                    call()
+            assert code == 2 and refusal in err, err
 
 
 class TestNewton:

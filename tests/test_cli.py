@@ -17,9 +17,12 @@ import pytest
 
 import bresselab
 from bresselab import experiments
+from bresselab.characteristic import branch_refusal
 from bresselab.cli import main
 from bresselab.configio import ConfigError, parse_config
+from bresselab.discretize import assemble_timoshenko_generator, build_memory_grid, build_spatial_grid, energy
 from bresselab.experiments import run_experiment
+from bresselab.simulate import initial_state
 from bresselab.spectra import resolvent_scan
 
 GOOD = """\
@@ -298,13 +301,25 @@ class TestArtifacts:
         float(first[0])  # parses
 
     @pytest.mark.parametrize("ell", [0, 1])
-    def test_full_report_emits_all_artifacts(self, tmp_path, ell):
+    def test_full_report_emits_all_artifacts(self, tmp_path, monkeypatch, ell):
         text = GOOD.replace("experiment = simulate", "experiment = full-report")
         text = text.replace("params.ell = 1.0", f"params.ell = {ell}")
         text = text.replace("params.k2 = 1", "params.k2 = 2")
         text += "spec.lambda_min = 3\nspec.lambda_max = 12\n"
         cfg = parse_config(write(tmp_path, text, name="bench.cfg"))
+        assembled = []
+
+        def counted(make):
+            def wrapper(*args):
+                assembled.append(make.__name__)
+                return make(*args)
+            return wrapper
+
+        for name in ("assemble_generator", "assemble_timoshenko_generator"):
+            monkeypatch.setattr(experiments, name, counted(getattr(experiments, name)))
         result = run_experiment(cfg, tmp_path / "out")
+        # one generator serves every section: two-field on the straight elastic beam
+        assert assembled == ["assemble_timoshenko_generator" if ell == 0 else "assemble_generator"]
         names = {p.name for p in result.files}
         sections = ["simulate", "spectrum", "resolvent"]
         want = {"energy.csv", "fits.csv", "spectrum.csv", "resolvent.csv", "report.txt"}
@@ -338,6 +353,31 @@ class TestArtifacts:
         assert {p.name for p in result.files} == {
             "energy.csv", "fits.csv", "spectrum.csv", "resolvent.csv", "report.txt"
         }
+
+    def test_straight_simulate_traces_the_two_field_energy(self, tmp_path):
+        # the straight beam's longitudinal motion is undamped and decoupled;
+        # its conserved energy is not part of the trace
+        text = GOOD.replace("params.ell = 1.0", "params.ell = 0").replace("params.k2 = 1", "params.k2 = 2")
+        cfg = parse_config(write(tmp_path, text))
+        result = run_experiment(cfg, tmp_path / "out")
+        assert "spectrum: two-field straight-beam assembly (longitudinal modes decoupled)" in result.report_lines
+        e0 = float((tmp_path / "out" / "energy.csv").read_text().splitlines()[1].split(",")[1])
+        gen = assemble_timoshenko_generator(cfg.params, cfg.kernel, build_spatial_grid(1.0, cfg.nx),
+                                            build_memory_grid(cfg.kernel, cfg.ns))
+        want = energy(gen, initial_state(gen, cfg.ic))
+        assert abs(e0 - want) <= 1e-12 * want, (e0, want)
+
+    @pytest.mark.parametrize("k2,length", [(1, 1), (2, 2)], ids=["equal_speeds", "length_2"])
+    def test_straight_spectrum_says_why_it_has_no_branch_tags(self, tmp_path, k2, length):
+        text = (GOOD.replace("experiment = simulate", "experiment = spectrum")
+                .replace("params.ell = 1.0", "params.ell = 0")
+                .replace("params.k2 = 1", f"params.k2 = {k2}\nparams.L = {length}"))
+        path = write(tmp_path, text)
+        assert main([str(path), "--out", str(tmp_path / "out")]) == 0
+        report = (tmp_path / "out" / "report.txt").read_text().splitlines()
+        assert f"branch tags unavailable: {branch_refusal(parse_config(path).params)}" in report
+        rows = (tmp_path / "out" / "spectrum.csv").read_text().splitlines()[1:]
+        assert rows and all(row.endswith(",") for row in rows)
 
     def test_resolvent_report_counts_unconverged_samples(self, tmp_path, monkeypatch):
         # an iteration cap of 1 leaves every sample unconverged, the
