@@ -8,6 +8,7 @@ is the classic way those go wrong.
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,47 +25,46 @@ EXPERIMENTS = ("simulate", "spectrum", "resolvent", "characteristic", "classify"
 
 IC_KINDS = ("smooth_bump", "eigenmode", "random")
 
-# key -> python type ('bool' handled separately)
-_SCHEMA: dict[str, type] = {
-    "experiment": str,
-    "bc": str,
-    "params.rho1": float,
-    "params.rho2": float,
-    "params.rho3": float,
-    "params.k1": float,
-    "params.k2": float,
-    "params.k3": float,
-    "params.ell": float,
-    "params.delta": float,
-    "params.tau": float,
-    "params.beta": float,
-    "params.L": float,
-    "params.thermal": bool,
-    "kernel.a": float,
-    "kernel.c": float,
-    "disc.nx": int,
-    "disc.ns": int,
-    "sim.T": float,
-    "sim.dt": float,
-    "sim.stride": int,
-    "sim.ic": str,
-    "sim.ic_index": int,
-    "sim.seed": int,
-    "spec.lambda_min": float,
-    "spec.lambda_max": float,
-}
 
-_ALWAYS_REQUIRED = (
-    "experiment",
-    "params.rho1",
-    "params.rho2",
-    "params.k1",
-    "params.k2",
-    "params.k3",
-    "kernel.a",
-    "kernel.c",
-)
-_THERMAL_REQUIRED = ("params.rho3", "params.delta", "params.tau", "params.beta")
+class Required(enum.Enum):
+    """A key without a default, always or for the thermal model; the value ends its message."""
+
+    ALWAYS = ""
+    THERMAL = " (thermal model)"
+
+
+# key -> (type, default, bound).  A None default is left to PhysicalParams'
+# own defaults, to params.thermal (bc) or to the run (sim.dt, spec.lambda_max).
+# Bounds (finite and > or >= 0) are checked here only for the run keys, whose
+# suffixes name ExperimentConfig's fields; PhysicalParams and KernelSpec check theirs.
+_KEYS: dict[str, tuple[type, object, str | None]] = {
+    "experiment": (str, Required.ALWAYS, None),
+    "bc": (str, None, None),
+    "params.rho1": (float, Required.ALWAYS, None),
+    "params.rho2": (float, Required.ALWAYS, None),
+    "params.rho3": (float, Required.THERMAL, None),
+    "params.k1": (float, Required.ALWAYS, None),
+    "params.k2": (float, Required.ALWAYS, None),
+    "params.k3": (float, Required.ALWAYS, None),
+    "params.ell": (float, None, None),
+    "params.delta": (float, Required.THERMAL, None),
+    "params.tau": (float, Required.THERMAL, None),
+    "params.beta": (float, Required.THERMAL, None),
+    "params.L": (float, None, None),
+    "params.thermal": (bool, None, None),
+    "kernel.a": (float, Required.ALWAYS, None),
+    "kernel.c": (float, Required.ALWAYS, None),
+    "disc.nx": (int, 40, ">"),
+    "disc.ns": (int, 32, ">"),
+    "sim.T": (float, 100.0, ">="),
+    "sim.dt": (float, None, ">"),
+    "sim.stride": (int, 1, ">"),
+    "sim.ic": (str, "smooth_bump", None),
+    "sim.ic_index": (int, 1, ">"),
+    "sim.seed": (int, 0, ">="),
+    "spec.lambda_min": (float, 5.0, ">"),
+    "spec.lambda_max": (float, None, ">"),
+}
 
 
 @dataclass
@@ -89,20 +89,20 @@ class ExperimentConfig:
 
 
 def _parse_scalar(key: str, raw: str, lineno: int):
-    want = _SCHEMA[key]
+    want = _KEYS[key][0]
     if want is bool:
         low = raw.lower()
         if low in ("true", "false"):
             return low == "true"
         raise ConfigError(f"line {lineno}: {key} expects true or false, got {raw!r}")
     try:
-        if want is int:
-            return int(raw)
-        if want is float:
-            return float(raw)
+        return want(raw)
     except ValueError:
         raise ConfigError(f"line {lineno}: {key} expects a {want.__name__}, got {raw!r}")
-    return raw
+
+
+def _section(values: dict[str, object], prefix: str) -> dict[str, object]:
+    return {key[len(prefix):]: val for key, val in values.items() if key.startswith(prefix)}
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -122,7 +122,7 @@ def parse_config(path) -> ExperimentConfig:
         if "=" not in body:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line.strip()!r}")
         key, raw = (part.strip() for part in body.split("=", 1))
-        if key not in _SCHEMA:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(
@@ -133,16 +133,13 @@ def parse_config(path) -> ExperimentConfig:
         values[key] = _parse_scalar(key, raw, lineno)
         lines_of[key] = lineno
 
-    for key in _ALWAYS_REQUIRED:
-        if key not in values:
-            raise ConfigError(f"missing required key {key!r}")
-    thermal = bool(values.get("params.thermal", False))
-    if thermal:
-        for key in _THERMAL_REQUIRED:
-            if key not in values:
-                raise ConfigError(f"missing required key {key!r} (thermal model)")
+    thermal = bool(values.get("params.thermal"))
+    for need in (Required.ALWAYS, Required.THERMAL) if thermal else (Required.ALWAYS,):
+        for key, (_, default, _) in _KEYS.items():
+            if default is need and key not in values:
+                raise ConfigError(f"missing required key {key!r}{need.value}")
 
-    experiment = str(values["experiment"])
+    experiment = values["experiment"]
     if experiment not in EXPERIMENTS:
         raise ConfigError(
             f"line {lines_of['experiment']}: unknown experiment {experiment!r}; "
@@ -150,63 +147,27 @@ def parse_config(path) -> ExperimentConfig:
         )
 
     try:
-        params = PhysicalParams(
-            rho1=values["params.rho1"],
-            rho2=values["params.rho2"],
-            k1=values["params.k1"],
-            k2=values["params.k2"],
-            k3=values["params.k3"],
-            ell=values.get("params.ell", 0.0),
-            length=values.get("params.L", 1.0),
-            thermal=thermal,
-            rho3=values.get("params.rho3", 1.0),
-            delta=values.get("params.delta", 0.0),
-            tau=values.get("params.tau", 1.0),
-            beta=values.get("params.beta", 1.0),
-        )
-        kernel = KernelSpec(a=values["kernel.a"], c=values["kernel.c"])
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-    bc_text = values.get("bc", "ddd" if not thermal else "dddd")
-    try:
-        bc = BoundaryCondition.from_string(str(bc_text))
+        fields = _section(values, "params.")
+        if "L" in fields:
+            fields["length"] = fields.pop("L")
+        params = PhysicalParams(**fields)
+        kernel = KernelSpec(**_section(values, "kernel."))
+        bc = BoundaryCondition.from_string(values.get("bc", "dddd" if thermal else "ddd"))
         bc.check_compatible(params)
     except ValueError as exc:
         raise ConfigError(str(exc))
 
-    ic = str(values.get("sim.ic", "smooth_bump"))
-    if ic not in IC_KINDS:
+    if "sim.ic" in values and values["sim.ic"] not in IC_KINDS:
         raise ConfigError(
-            f"line {lines_of.get('sim.ic', '?')}: unknown initial condition {ic!r}; "
+            f"line {lines_of['sim.ic']}: unknown initial condition {values['sim.ic']!r}; "
             f"expected one of {', '.join(IC_KINDS)}"
         )
 
-    def positive(key, val, strict=True):
-        if val is None:
-            return val
-        if not math.isfinite(val) or (strict and val <= 0) or (not strict and val < 0):
-            line = lines_of.get(key)
-            where = f"line {line}: " if line else ""
-            bound = ">" if strict else ">="
-            raise ConfigError(f"{where}{key} must be finite and {bound} 0, got {val}")
-        return val
-
-    cfg = ExperimentConfig(
-        experiment=experiment,
-        params=params,
-        kernel=kernel,
-        bc=bc,
-        nx=positive("disc.nx", int(values.get("disc.nx", 40))),
-        ns=positive("disc.ns", int(values.get("disc.ns", 32))),
-        T=positive("sim.T", float(values.get("sim.T", 100.0)), strict=False),
-        dt=positive("sim.dt", values.get("sim.dt")),
-        stride=positive("sim.stride", int(values.get("sim.stride", 1))),
-        ic=ic,
-        ic_index=positive("sim.ic_index", int(values.get("sim.ic_index", 1))),
-        seed=positive("sim.seed", int(values.get("sim.seed", 0)), strict=False),
-        lambda_min=positive("spec.lambda_min", float(values.get("spec.lambda_min", 5.0))),
-        lambda_max=positive("spec.lambda_max", values.get("spec.lambda_max")),
-        config_id=path.stem,
-    )
-    return cfg
+    run = {}
+    for key, (_, default, bound) in _KEYS.items():
+        if not key.startswith(("disc.", "sim.", "spec.")):
+            continue
+        val = run[key.split(".", 1)[1]] = values.get(key, default)
+        if bound and key in values and not (math.isfinite(val) and (val > 0 if bound == ">" else val >= 0)):
+            raise ConfigError(f"line {lines_of[key]}: {key} must be finite and {bound} 0, got {val}")
+    return ExperimentConfig(experiment, params, kernel, bc, config_id=path.stem, **run)

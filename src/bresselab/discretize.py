@@ -592,10 +592,11 @@ class ShiftedSolver:
 
     where L^-H = L(conj z)^-T is the slice solve at conj(z) run over the
     slices in reverse order.  T(z) is factored once by factor, which
-    takes T(z) in CSC and returns an LU with solve(v, trans); a real z
-    takes a real r.  F and J are dense blocks on the dpsi rows of the front,
-    which is gathered from r by one take and scattered back into x by one
-    indexed store.
+    takes T(z) in CSC and returns an LU whose solve(v) is T^-1 v; the
+    adjoint solve also calls solve(v, "H"), which splu's SuperLU serves
+    and simulate.BandLU does not.  A real z takes a real r.  F and J are
+    dense blocks on the dpsi rows of the front, which is gathered from r
+    by one take and scattered back into x by one indexed store.
     """
 
     def __init__(self, front: CondensedFront, z: complex, factor):
@@ -623,7 +624,7 @@ class ShiftedSolver:
             x[self._eta] = self._slices_conj.solve(r_eta[::-1])[::-1].ravel()
         else:
             r_front[dpsi] += self._force @ (self._c @ r_eta)
-            x_front = self._lu.solve(r_front, "N")
+            x_front = self._lu.solve(r_front)
             self._slices.solve(r_eta + self._inject @ x_front[dpsi], out=x[self._eta].reshape(self._shape))
         x[index] = x_front
         return x

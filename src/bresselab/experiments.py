@@ -142,7 +142,7 @@ class _RunContext:
         """
         cfg = self.cfg
         if cfg.params.timoshenko and not cfg.params.thermal:
-            self.rep.say("spectrum: two-field straight-beam assembly (longitudinal modes decoupled)")
+            self.rep.say("generator: two-field straight-beam assembly (longitudinal modes decoupled)")
             return self._build(assemble_timoshenko_generator, cfg.params, cfg.kernel, self.grid, self.mgrid)
         return self._build(assemble_generator, cfg.params, cfg.kernel, cfg.bc, self.grid, self.mgrid)
 

@@ -158,6 +158,13 @@ def wave_speeds(params: PhysicalParams) -> tuple[float, float, float]:
     return (params.k1 / params.rho1, params.k2 / params.rho2, params.k3 / params.rho1)
 
 
+def characteristic_speeds(params: PhysicalParams) -> tuple[float, ...]:
+    """Squared speeds of the propagating families: the wave speeds, and the heat flux's 1/(rho3 tau)."""
+    if params.thermal and params.tau > 0.0:
+        return (*wave_speeds(params), 1.0 / (params.rho3 * params.tau))
+    return wave_speeds(params)
+
+
 def _rel_equal(x: float, y: float, rtol: float = EQUALITY_RTOL) -> bool:
     return abs(x - y) <= rtol * max(abs(x), abs(y))
 

@@ -26,7 +26,7 @@ from .discretize import (
     energy,
     exact_memory_grid,
 )
-from .model import wave_speeds
+from .model import characteristic_speeds
 
 
 # Courant number of the default step.
@@ -35,11 +35,7 @@ CFL = 0.05
 
 def default_dt(gen: Generator) -> float:
     """Conservative step: CFL * h / (fastest characteristic speed)."""
-    p = gen.params
-    speeds = list(wave_speeds(p))
-    if p.thermal and p.tau > 0.0:
-        speeds.append(1.0 / (p.rho3 * p.tau))
-    return CFL * gen.grid.h / float(np.sqrt(max(speeds)))
+    return CFL * gen.grid.h / float(np.sqrt(max(characteristic_speeds(gen.params))))
 
 
 # Most recorded states sampled as one block: at the evolve configs'
@@ -48,7 +44,7 @@ SAMPLE_BLOCK = 16
 
 
 class BandLU:
-    """T = L U without pivoting, held in LAPACK band storage; solve is two dtbsv sweeps.
+    """T = L U without pivoting, in LAPACK band storage; solve(v) is T^-1 v by two dtbsv sweeps.
 
     T is factored by the module-level splu in its natural order with
     diagonal pivots, and L and U are copied into band storage.  That is
@@ -67,15 +63,11 @@ class BandLU:
         self._lower, self._kl = band_storage(lu.L, lower=True)
         self._upper, self._ku = band_storage(lu.U, lower=False)
 
-    def solve(self, v: np.ndarray, trans: str = "N") -> np.ndarray:
-        """T^-1 v, or T^-T v for trans "T" or "H" (T is real)."""
+    def solve(self, v: np.ndarray) -> np.ndarray:
+        """T^-1 v."""
         x = np.array(v, dtype=float)
-        if trans == "N":
-            dtbsv(self._kl, self._lower, x, lower=1, diag=1, overwrite_x=1)
-            dtbsv(self._ku, self._upper, x, overwrite_x=1)
-        else:
-            dtbsv(self._ku, self._upper, x, trans=1, overwrite_x=1)
-            dtbsv(self._kl, self._lower, x, lower=1, trans=1, diag=1, overwrite_x=1)
+        dtbsv(self._kl, self._lower, x, lower=1, diag=1, overwrite_x=1)
+        dtbsv(self._ku, self._upper, x, overwrite_x=1)
         return x
 
 

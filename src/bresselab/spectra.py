@@ -26,7 +26,7 @@ from scipy.sparse.linalg import splu
 
 from .characteristic import branch_seeds
 from .discretize import CondensedFront, Generator, ShiftedSolver, band_storage, front_order, reflection
-from .model import wave_speeds
+from .model import characteristic_speeds
 
 # Largest dimension fed to the dense eigensolver.
 DENSE_DIM_CAP = 8000
@@ -315,11 +315,7 @@ class ResolventScan:
 
 def resolution_cap(gen: Generator) -> float:
     """Highest frequency the grid resolves: pi * c_min / (2 h)."""
-    speeds = list(wave_speeds(gen.params))
-    p = gen.params
-    if p.thermal and p.tau > 0.0:
-        speeds.append(1.0 / (p.rho3 * p.tau))
-    return float(0.5 * np.pi * np.sqrt(min(speeds)) / gen.grid.h)
+    return float(0.5 * np.pi * np.sqrt(min(characteristic_speeds(gen.params))) / gen.grid.h)
 
 
 # Fraction of the grid cutoff frequency pi*c/h inside which the REAL

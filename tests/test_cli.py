@@ -19,9 +19,16 @@ import bresselab
 from bresselab import experiments
 from bresselab.characteristic import branch_refusal
 from bresselab.cli import main
-from bresselab.configio import ConfigError, parse_config
-from bresselab.discretize import assemble_timoshenko_generator, build_memory_grid, build_spatial_grid, energy
+from bresselab.configio import _KEYS, EXPERIMENTS, IC_KINDS, ConfigError, Required, parse_config
+from bresselab.discretize import (
+    assemble_generator,
+    assemble_timoshenko_generator,
+    build_memory_grid,
+    build_spatial_grid,
+    energy,
+)
 from bresselab.experiments import run_experiment
+from bresselab.model import PhysicalParams
 from bresselab.simulate import initial_state
 from bresselab.spectra import resolvent_scan
 
@@ -131,6 +138,48 @@ class TestConfigParsing:
         bad = bad.replace("# equal-speed elastic benchmark", "bc = ddd")
         with pytest.raises(ConfigError):
             parse_config(write(tmp_path, bad))
+
+
+class TestConfigKeyDrift:
+    # README's defaults of the keys that the run decides, in its words
+    RUN_DECIDED = {"bc": "`ddd` / `dddd`", "sim.dt": "CFL-based", "spec.lambda_max": "grid cap"}
+
+    def readme_default(self, key):
+        default = _KEYS[key][1]
+        if isinstance(default, Required):
+            return "required" if default is Required.ALWAYS else "required if thermal"
+        if default is None and key.startswith("params."):
+            fields = {f.name: f.default for f in dataclasses.fields(PhysicalParams)}
+            default = fields["length" if key == "params.L" else key.split(".")[1]]
+        if default is None:
+            return self.RUN_DECIDED[key]
+        return f"`{str(default).lower() if isinstance(default, bool) else default}`"
+
+    def test_readme_table_lists_every_key_with_its_default(self):
+        readme = (Path(bresselab.__file__).parents[2] / "README.md").read_text()
+        table = readme.split("### Config keys", 1)[1].split("\n## ", 1)[0]
+        listed = []
+        for row in table.splitlines():
+            cells = [cell.strip() for cell in row.strip("|").split("|")]
+            if len(cells) != 3 or cells[0] in ("key", "---"):
+                continue
+            for group in re.findall(r"`([^`]+)`", cells[0]):
+                first, *rest = group.split("/")
+                prefix = first.rpartition(".")[0]
+                listed += [(key, cells[1]) for key in (first, *(f"{prefix}.{name}" for name in rest))]
+        assert sorted(key for key, _ in listed) == sorted(_KEYS)
+        assert {key: text for key, text in listed} == {key: self.readme_default(key) for key in _KEYS}
+
+    def test_every_experiment_has_a_runner(self):
+        assert sorted(EXPERIMENTS) == sorted(experiments._RUNNERS)
+
+    @pytest.mark.parametrize("kind", IC_KINDS)
+    def test_every_initial_condition_is_buildable(self, tmp_path, kind):
+        cfg = parse_config(write(tmp_path, GOOD + f"sim.ic = {kind}\n"))
+        gen = assemble_generator(cfg.params, cfg.kernel, cfg.bc, build_spatial_grid(1.0, 6),
+                                 build_memory_grid(cfg.kernel, 8))
+        u = initial_state(gen, cfg.ic, cfg.ic_index, cfg.seed)
+        assert u.shape == (gen.dim,) and u.any()
 
 
 class TestCliExitCodes:
@@ -360,7 +409,7 @@ class TestArtifacts:
         text = GOOD.replace("params.ell = 1.0", "params.ell = 0").replace("params.k2 = 1", "params.k2 = 2")
         cfg = parse_config(write(tmp_path, text))
         result = run_experiment(cfg, tmp_path / "out")
-        assert "spectrum: two-field straight-beam assembly (longitudinal modes decoupled)" in result.report_lines
+        assert "generator: two-field straight-beam assembly (longitudinal modes decoupled)" in result.report_lines
         e0 = float((tmp_path / "out" / "energy.csv").read_text().splitlines()[1].split(",")[1])
         gen = assemble_timoshenko_generator(cfg.params, cfg.kernel, build_spatial_grid(1.0, cfg.nx),
                                             build_memory_grid(cfg.kernel, cfg.ns))

@@ -317,8 +317,8 @@ class TestCondensedFront:
             r = r + 1j * rng.standard_normal(gen.dim)
         c = z * np.eye(gen.dim) - gen.A.toarray()
         want = np.linalg.solve(c.conj().T if adjoint else c, r)
-        # the time step's real shift is also solved through the stepper's band factor
-        for factor in (splu,) if np.iscomplex(z) else (splu, BandLU):
+        # the time step's real shift is also solved forward through the stepper's band factor
+        for factor in (splu,) if np.iscomplex(z) or adjoint else (splu, BandLU):
             got = ShiftedSolver(CondensedFront(gen), z, factor).solve(r, adjoint=adjoint)
             err = np.linalg.norm(got - want) / np.linalg.norm(want)
             assert err <= 1e-12, (

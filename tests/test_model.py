@@ -9,6 +9,7 @@ from bresselab.model import (
     BoundaryCondition,
     PhysicalParams,
     Regime,
+    characteristic_speeds,
     classify_regime,
     equal_speed_condition,
     stability_number,
@@ -25,6 +26,16 @@ class TestWaveSpeeds:
         assert got == pytest.approx((2.0, 2.0, 4.0), abs=1e-15), (
             f"speeds {got}, expected (2, 2, 4)"
         )
+
+    @pytest.mark.parametrize("thermal,tau,want", [
+        (False, 2.0, (2.0, 2.0, 4.0)),
+        (True, 2.0, (2.0, 2.0, 4.0, 0.25)),
+        # tau = 0: Fourier heat, no finite heat speed
+        (True, 0.0, (2.0, 2.0, 4.0)),
+    ], ids=["elastic", "cattaneo", "fourier"])
+    def test_characteristic_speeds_add_the_heat_flux(self, thermal, tau, want):
+        p = PhysicalParams(rho1=2.0, rho2=4.0, k1=4.0, k2=8.0, k3=8.0, thermal=thermal, rho3=2.0, tau=tau)
+        assert characteristic_speeds(p) == want
 
     def test_equal_speed_condition_holds(self):
         p = PhysicalParams(rho1=1.0, rho2=2.0, k1=3.0, k2=6.0, k3=2.0)

@@ -7,11 +7,16 @@
 # identity of the assembly that must hold for every admissible draw, not
 # only for the hand-picked cases of test_discretize and test_spectra.
 
+import dataclasses
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bresselab.configio import _KEYS, IC_KINDS, Required, parse_config
 from bresselab.discretize import (
     assemble_generator,
     build_memory_grid,
@@ -104,3 +109,81 @@ def test_steps_never_raise_the_energy(gen, seed):
             e_next = energy(gen, u)
             assert e_next <= e + 1e-12 * e0, f"{gen.bc.value} dt={dt}: E {e:.17g} -> {e_next:.17g}"
             e = e_next
+
+
+# ---------------------------------------------------------------------
+# Configs: what is written is what is parsed, and the rest is defaulted
+# ---------------------------------------------------------------------
+
+REQUIRED_KEYS = {
+    "experiment": "classify", "params.rho1": 1.5, "params.rho2": 0.5, "params.k1": 2.0,
+    "params.k2": 3.0, "params.k3": 0.25, "kernel.a": 0.5, "kernel.c": 1.0,
+}
+HEAT_KEYS = {
+    "params.rho3": _coefficient(), "params.delta": _coefficient(0.0, 3.0),
+    "params.tau": _coefficient(0.0, 5.0), "params.beta": _coefficient(0.0, 3.0),
+}
+
+
+@st.composite
+def config_values(draw):
+    """Required keys plus a random subset of the optional ones, at admissible values."""
+    thermal = draw(st.booleans())
+    optional = {
+        **HEAT_KEYS,
+        "params.ell": _coefficient(0.0, 3.0), "params.L": _coefficient(),
+        "bc": st.sampled_from(["dddd", "dndd", "dnnd"] if thermal else ["ddd"]),
+        "disc.nx": st.integers(1, 10**6), "disc.ns": st.integers(1, 10**6),
+        "sim.T": _coefficient(0.0, 1e4), "sim.dt": _coefficient(1e-6, 10.0),
+        "sim.stride": st.integers(1, 10**6), "sim.ic": st.sampled_from(IC_KINDS),
+        "sim.ic_index": st.integers(1, 10**6), "sim.seed": st.integers(0, 2**63),
+        "spec.lambda_min": _coefficient(1e-3, 1e3), "spec.lambda_max": _coefficient(1e-3, 1e3),
+    }
+    keys = draw(st.sets(st.sampled_from(sorted(optional))))
+    if thermal:
+        keys |= HEAT_KEYS.keys()
+    values = {**REQUIRED_KEYS, **{key: draw(optional[key]) for key in sorted(keys)}}
+    if thermal or draw(st.booleans()):
+        values["params.thermal"] = thermal
+    # in any line order
+    return {key: values[key] for key in draw(st.permutations(list(values)))}
+
+
+def _parsed(cfg, key):
+    section, _, name = key.rpartition(".")
+    if key == "bc":
+        return cfg.bc.value
+    if section == "params":
+        return getattr(cfg.params, "length" if name == "L" else name)
+    return getattr(cfg.kernel if section == "kernel" else cfg, name)
+
+
+def _default(key, thermal):
+    default = _KEYS[key][1]
+    if key == "bc":
+        return "dddd" if thermal else "ddd"
+    if key.startswith("params.") and (default is None or isinstance(default, Required)):
+        fields = {f.name: f.default for f in dataclasses.fields(PhysicalParams)}
+        return fields["length" if key == "params.L" else key.split(".")[1]]
+    return default
+
+
+def _spelled(val):
+    """A value as a config line writes it; repr gives the float back exactly."""
+    if isinstance(val, bool):
+        return str(val).lower()
+    return repr(val) if isinstance(val, float) else str(val)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(config_values())
+def test_parsed_config_round_trips(values):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "drawn.cfg"
+        path.write_text("".join(f"{key} = {_spelled(val)}\n" for key, val in values.items()))
+        cfg = parse_config(path)
+    thermal = values.get("params.thermal", False)
+    for key in _KEYS:
+        want = values[key] if key in values else _default(key, thermal)
+        assert _parsed(cfg, key) == want, (key, _parsed(cfg, key), want)
+    assert cfg.config_id == "drawn"
