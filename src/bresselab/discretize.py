@@ -185,13 +185,15 @@ def _ops_dirichlet(nx: int, h: float):
 
 
 def _place_blocks(dim: int, blocks) -> sp.csr_matrix:
-    """The dim x dim CSR matrix holding each (row slice, column slice, block)."""
+    """The dim x dim CSR matrix holding each (row indices, column indices, block)."""
+    index = np.arange(dim)
     rows, cols, vals = [], [], []
     for r, c, block in blocks:
         block = sp.coo_matrix(block)
-        assert block.shape == (r.stop - r.start, c.stop - c.start)
-        rows.append(block.row + r.start)
-        cols.append(block.col + c.start)
+        r, c = index[r], index[c]
+        assert block.shape == (r.size, c.size)
+        rows.append(r[block.row])
+        cols.append(c[block.col])
         vals.append(block.data)
     return sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)
@@ -206,10 +208,15 @@ def _place_blocks(dim: int, blocks) -> sp.csr_matrix:
 class Generator:
     """Semi-discrete system u' = A u with energy E(u) = u^T B u / 2.
 
-    layout maps field names to slices of the state vector; eta is one
-    contiguous block of ns slices, slice-major.  eta_rep records whether
-    memory slices store nodal values ("nodal", Dirichlet shear ends) or
-    midpoint x-gradients ("gradient", Neumann shear ends).
+    The state is the front (positions, velocities, theta and q) in node
+    order, then the history ladder.  Node order sorts the front stably by
+    coordinate, so the unknowns of one node (or of one midpoint) sit side
+    by side in field order; every coupling of the front reaches one node
+    over at most, so A and B restricted to the front are banded.  layout
+    maps each front field to its state indices, in increasing coordinate,
+    and eta to the slice [n_front, dim): ns slices, slice-major.  eta_rep
+    records whether memory slices store nodal values ("nodal", Dirichlet
+    shear ends) or midpoint x-gradients ("gradient", Neumann shear ends).
     """
 
     params: PhysicalParams
@@ -219,7 +226,7 @@ class Generator:
     mgrid: MemoryGrid
     A: sp.csr_matrix
     B: sp.csr_matrix
-    layout: dict[str, slice]
+    layout: dict[str, np.ndarray | slice]
     sizes: dict[str, int]
     eta_rep: str
     include_w: bool
@@ -236,6 +243,11 @@ class Generator:
     @property
     def ns_active(self) -> int:
         return len(self.slice_weights)
+
+    @property
+    def n_front(self) -> int:
+        """Length of the front, the state prefix ahead of the history ladder."""
+        return self.dim - self.ns_active * self.n_eta
 
     @cached_property
     def memory_form(self) -> sp.csr_matrix:
@@ -274,7 +286,7 @@ def reflection(gen: Generator) -> tuple[np.ndarray, np.ndarray]:
     """(perm, sign) of the signed mirror x -> L - x: (P u)[i] = sign[i] * u[perm[i]].
 
     Every field's nodes and midpoints are symmetric about L/2, so the
-    mirror reverses each field block (each history slice on its own).
+    mirror reverses each field's indices (each history slice on its own).
     Velocities take the sign of their field, nodal history that of psi,
     and gradient history that of psi_x.  P is an involution, and every
     assembled A and B commute with it.
@@ -285,10 +297,10 @@ def reflection(gen: Generator) -> tuple[np.ndarray, np.ndarray]:
     sign["eta"] = -1.0 if gen.eta_rep == "nodal" else 1.0
     perm = np.arange(gen.dim)
     signs = np.empty(gen.dim)
-    for name, sl in gen.layout.items():
-        width = gen.n_eta if name == "eta" else sl.stop - sl.start
-        perm[sl] = perm[sl].reshape(-1, width)[:, ::-1].ravel()
-        signs[sl] = sign[name]
+    for name, index in gen.layout.items():
+        width = gen.n_eta if name == "eta" else gen.sizes[name]
+        perm[index] = perm[index].reshape(-1, width)[:, ::-1].ravel()
+        signs[index] = sign[name]
     return perm, signs
 
 
@@ -347,8 +359,7 @@ def _assemble(params, kernel, bc, grid, mgrid, include_w):
         g_, a_, m_ = ops_n if neumann else ops_d
         grads[name], avgs[name], masses[name] = g_, a_, m_
         dens[name] = p.rho2 if name == "psi" else p.rho1
-    n_of = {name: masses[name].size for name, _ in fields}
-    n_pos = sum(n_of.values())
+    n_pos = sum(masses[name].size for name, _ in fields)
 
     # --- strain map: rows S1 (shear), S2 (bending), S3 (longitudinal) ---
     z = None
@@ -387,7 +398,7 @@ def _assemble(params, kernel, bc, grid, mgrid, include_w):
             force_one = (-sp.diags(1.0 / (p.rho2 * masses["psi"])) @ (g_psi.T @ sp.diags(m_mid))).tocsr()
             inject = g_psi  # d/dt slice picks up grad of psi_t
         else:
-            n_eta = n_of["psi"]
+            n_eta = masses["psi"].size
             slice_energy = (g_psi.T @ sp.diags(m_mid) @ g_psi).tocsr()
             force_one = (-sp.diags(1.0 / (p.rho2 * masses["psi"])) @ slice_energy).tocsr()
             inject = sp.identity(n_eta, format="csr")
@@ -414,21 +425,22 @@ def _assemble(params, kernel, bc, grid, mgrid, include_w):
         a_q_th = (-1.0 / p.tau) * g_th
         a_q_q = sp.diags(np.full(n_q, -p.beta / p.tau))
 
-    # --- state layout ---
-    sizes = {name: n_of[name] for name, _ in fields}
-    sizes.update({"d" + name: n_of[name] for name, _ in fields})
+    # --- state layout: the front in node order, then the history ladder ---
+    coords = _field_coordinates(grid, fields, thermal)
+    sizes = {name: x.size for name, x in coords.items()}
+    x = np.concatenate(list(coords.values()))
+    rank = np.empty(x.size, dtype=np.intp)
+    rank[np.argsort(x, kind="stable")] = np.arange(x.size)
+    layout = dict(zip(coords, np.split(rank, np.cumsum(list(sizes.values()))[:-1])))
+    dim = x.size
     if has_memory:
         sizes["eta"] = ns * n_eta
-    if thermal:
-        sizes["theta"], sizes["q"] = nx, n_q
-    layout, off = {}, 0
-    for name, size in sizes.items():
-        layout[name] = slice(off, off + size)
-        off += size
-    dim = off
+        layout["eta"] = slice(dim, dim + ns * n_eta)
+        dim += ns * n_eta
 
-    # --- place the blocks of A and B by their layout slices ---
-    pos, vel = slice(0, n_pos), slice(n_pos, 2 * n_pos)
+    # --- place the blocks of A and B by their layout indices ---
+    pos = np.concatenate([layout[name] for name, _ in fields])
+    vel = np.concatenate([layout["d" + name] for name, _ in fields])
     dpsi = layout["dpsi"]
     blocks_a = [(pos, vel, sp.identity(n_pos)), (vel, pos, f_pos)]
     blocks_b = [(pos, pos, k_pos), (vel, vel, sp.diags(mass_vel))]
@@ -500,25 +512,6 @@ class SliceSolver:
         return out
 
 
-def front_order(gen: Generator) -> np.ndarray:
-    """The state indices outside the history ladder, in node order.
-
-    Stably sorted by coordinate, so the unknowns of one node (or of one
-    midpoint) sit side by side in layout order.  Every coupling of the
-    front reaches one node over at most, so a front operator in this
-    order is banded: no entry of T(z) lies more than 13 places off its
-    diagonal on any variant.
-    """
-    eta = gen.layout.get("eta", slice(0, 0))
-    coords = coordinates(gen)
-    x = np.empty(gen.dim)
-    for name, sl in gen.layout.items():
-        if name != "eta":
-            x[sl] = coords[name]
-    free = np.r_[0:eta.start, eta.stop:gen.dim]
-    return free[np.argsort(x[free], kind="stable")]
-
-
 def band_storage(m: sp.spmatrix, lower: bool) -> tuple[np.ndarray, int]:
     """(ab, k): the lower or the upper triangle of m in LAPACK band storage, k its bandwidth.
 
@@ -538,10 +531,11 @@ def band_storage(m: sp.spmatrix, lower: bool) -> tuple[np.ndarray, int]:
 class CondensedFront:
     """z I - A with its history ladder eliminated: the front operator T(z).
 
-    The front is every entry outside the ladder (positions, velocities,
-    theta and q), held in node order: index is front_order(gen), and
-    a_ff, fj and T(z) are assembled in that order, so T(z) is banded.
-    dpsi holds the front positions of the shear velocities.  The history
+    The front is the state prefix ahead of the ladder (positions,
+    velocities, theta and q), which the assembly holds in node order, so
+    a_ff = A[:n_front, :n_front], fj and T(z) are banded: no entry of T(z)
+    lies more than 13 places off its diagonal on any variant.  dpsi holds
+    the front indices of the shear velocities.  The history
     block of z I - A is kron(L(z), I) with L(z) = (z + 1/ds) I - (1/ds) N,
     and it meets the front only through -kron(1, J) and -kron(w^T, F),
     with F = gen.slice_force and J = gen.slice_inject on the dpsi rows
@@ -555,10 +549,8 @@ class CondensedFront:
 
     def __init__(self, gen: Generator):
         self.weights, self.ds, self.n_eta = gen.slice_weights, gen.mgrid.ds, gen.n_eta
-        self.eta, self.index = gen.layout.get("eta", slice(0, 0)), front_order(gen)
-        # dpsi precedes eta in every layout, so its state index is its rank in the front
-        self.dpsi = np.argsort(self.index)[gen.layout["dpsi"]]
-        self.a_ff = gen.A[self.index][:, self.index]
+        self.n_front, self.dpsi = gen.n_front, gen.layout["dpsi"]
+        self.a_ff = gen.A[:self.n_front, :self.n_front]
         n_psi = self.dpsi.size
         self.force, self.inject = (
             (gen.slice_force, gen.slice_inject) if self.n_eta
@@ -572,7 +564,7 @@ class CondensedFront:
         slices = SliceSolver(z + 1.0 / self.ds, 1.0 / self.ds, self.weights.size)
         b = slices.solve(np.ones((self.weights.size, 1)))
         sigma, slope = self.weights @ b[:, 0], -(self.weights @ slices.solve(b)[:, 0])
-        eye = sp.identity(self.index.size)
+        eye = sp.identity(self.n_front)
         return z * eye - self.a_ff - sigma * self.fj, eye - slope * self.fj
 
 
@@ -594,14 +586,14 @@ class ShiftedSolver:
     slices in reverse order.  T(z) is factored once by factor, which
     takes T(z) in CSC and returns an LU whose solve(v) is T^-1 v; the
     adjoint solve also calls solve(v, "H"), which splu's SuperLU serves
-    and simulate.BandLU does not.  A real z takes a real r.  F and J are
-    dense blocks on the dpsi rows of the front, which is gathered from r
-    by one take and scattered back into x by one indexed store.
+    and simulate.BandLU does not.  A real z takes a real r.  The front is
+    the state prefix [0, n_front) of r and x, and F and J are dense blocks
+    on its dpsi rows.
     """
 
     def __init__(self, front: CondensedFront, z: complex, factor):
         ns, ds = front.weights.size, front.ds
-        self._eta, self._index, self._dpsi = front.eta, front.index, front.dpsi
+        self._n_front, self._dpsi = front.n_front, front.dpsi
         self._shape, self._weights = (ns, front.n_eta), front.weights
         self._dtype = np.result_type(z, float)
         self._slices = SliceSolver(z + 1.0 / ds, 1.0 / ds, ns)
@@ -612,21 +604,21 @@ class ShiftedSolver:
         self._force, self._inject = front.force.toarray(), front.inject.toarray()
 
     def solve(self, r: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        index, dpsi = self._index, self._dpsi
+        nf, dpsi = self._n_front, self._dpsi
         dtype = np.result_type(r, self._dtype)
-        r_eta = r[self._eta].reshape(self._shape)
-        r_front = r.take(index).astype(dtype, copy=False)
+        r_eta = r[nf:].reshape(self._shape)
+        r_front = r[:nf].astype(dtype)
         x = np.empty(r.shape, dtype)
         if adjoint:
             r_front[dpsi] += self._inject.T @ (self._b_conj @ r_eta)
             x_front = self._lu.solve(r_front, "H")
             r_eta = r_eta + np.outer(self._weights, self._force.T @ x_front[dpsi])
-            x[self._eta] = self._slices_conj.solve(r_eta[::-1])[::-1].ravel()
+            x[nf:] = self._slices_conj.solve(r_eta[::-1])[::-1].ravel()
         else:
             r_front[dpsi] += self._force @ (self._c @ r_eta)
             x_front = self._lu.solve(r_front)
-            self._slices.solve(r_eta + self._inject @ x_front[dpsi], out=x[self._eta].reshape(self._shape))
-        x[index] = x_front
+            self._slices.solve(r_eta + self._inject @ x_front[dpsi], out=x[nf:].reshape(self._shape))
+        x[:nf] = x_front
         return x
 
 
@@ -673,13 +665,13 @@ def _pair(cols: np.ndarray, image: np.ndarray) -> np.ndarray:
 
 def coordinates(gen: Generator) -> dict[str, np.ndarray]:
     """Physical coordinates of each stored field outside the history ladder."""
-    g = gen.grid
-    out: dict[str, np.ndarray] = {}
-    for name, neumann in _position_fields(gen.bc, gen.include_w):
-        x = g.nodes_neumann if neumann else g.nodes_dirichlet
-        out[name] = x
-        out["d" + name] = x
-    if gen.params.thermal:
-        out["theta"] = g.nodes_dirichlet
-        out["q"] = g.midpoints
+    return _field_coordinates(gen.grid, _position_fields(gen.bc, gen.include_w), gen.params.thermal)
+
+
+def _field_coordinates(g: SpatialGrid, fields, thermal: bool) -> dict[str, np.ndarray]:
+    """Coordinates of the front fields in field order: positions, velocities, theta, q."""
+    out = {name: g.nodes_neumann if neumann else g.nodes_dirichlet for name, neumann in fields}
+    out.update({"d" + name: out[name] for name, _ in fields})
+    if thermal:
+        out["theta"], out["q"] = g.nodes_dirichlet, g.midpoints
     return out

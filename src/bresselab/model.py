@@ -36,8 +36,10 @@ class PhysicalParams:
     rho3, delta, tau, beta   heat capacity, coupling, relaxation time and
                  flux damping; only meaningful when thermal is set.
 
-    beta = 0 and tau >= 0 are allowed so the conservative limit can be
-    assembled; everything else structural must be strictly positive.
+    beta = 0 is allowed so the conservative limit can be assembled.
+    tau = 0 (Fourier heat) serves classification and the characteristic
+    speeds only: the thermal assembly needs tau > 0.  Everything else
+    structural must be strictly positive.
     """
 
     rho1: float

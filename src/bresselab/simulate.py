@@ -208,9 +208,7 @@ def simulate(
         dt = 0.0
     steps = [k for k in range(n_steps + 1) if k % stride == 0 or k == n_steps]
     E, mem, heat = np.empty((3, len(steps)))
-    # Fortran order makes the transpose of every full block C-contiguous:
-    # the column block that the sparse products in the samplers take.
-    block = np.empty((SAMPLE_BLOCK, gen.dim), order="F")
+    block = np.empty((SAMPLE_BLOCK, gen.dim))
     k = 0
     for start in range(0, len(steps), SAMPLE_BLOCK):
         chunk = steps[start:start + SAMPLE_BLOCK]
@@ -219,7 +217,10 @@ def simulate(
                 u = stepper.advance(u)
                 k += 1
             block[row] = u
-        rows, done = block[:len(chunk)], slice(start, start + len(chunk))
+        # one transposed copy per block: its transpose is the C-contiguous
+        # column block that the sparse products in the samplers take
+        rows = np.ascontiguousarray(block[:len(chunk)].T).T
+        done = slice(start, start + len(chunk))
         E[done] = energy(gen, rows)
         bad = np.flatnonzero(~np.isfinite(E[done]))
         if bad.size:
@@ -250,13 +251,13 @@ def collapsed_history_gap(gen: Generator, u0: np.ndarray, T: float, dt: float) -
     exact = gen.on_memory_grid(exact_memory_grid(gen.kernel))
     n_steps = max(1, int(round(T / dt)))
     u_full = np.asarray(u0, dtype=float)
-    u_exact = np.insert(np.delete(u_full, eta), exact.layout["eta"].start, np.zeros(exact.n_eta))
+    u_exact = np.concatenate([u_full[:gen.n_front], np.zeros(exact.n_eta)])
     full, one_slice = (Stepper(g, T / n_steps) for g in (gen, exact))
     for _ in range(n_steps):
         u_full, u_exact = full.advance(u_full), one_slice.advance(u_exact)
 
-    stop = gen.layout["psi"].stop
-    denom = float(np.linalg.norm(u_exact[:stop]))
+    shape = np.r_[gen.layout["phi"], gen.layout["psi"]]
+    denom = float(np.linalg.norm(u_exact[shape]))
     if denom == 0.0:
         raise ValueError("exact-memory trajectory vanished; gap undefined")
-    return float(np.linalg.norm(u_full[:stop] - u_exact[:stop])) / denom
+    return float(np.linalg.norm(u_full[shape] - u_exact[shape])) / denom

@@ -25,7 +25,7 @@ from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
 from .characteristic import branch_seeds
-from .discretize import CondensedFront, Generator, ShiftedSolver, band_storage, front_order, reflection
+from .discretize import CondensedFront, Generator, ShiftedSolver, band_storage, reflection
 from .model import characteristic_speeds
 
 # Largest dimension fed to the dense eigensolver.
@@ -74,9 +74,11 @@ def _parity_basis(perm: np.ndarray, sign: np.ndarray, parity: float) -> sp.csc_m
 
     One column (e_i + parity * sign_i * e_perm[i]) / sqrt(2) per swapped
     pair i < perm[i], and e_i for each fixed index whose sign is parity,
-    ordered by that lower index i.  A fixed middle index thus sits beside
-    the pairs of its own field (or history slice), which keeps the
-    restricted Gram matrix banded about as wide as one field.
+    ordered by that lower index i.  The mirror pairs each front index
+    with one at the mirrored node, so over the front (in node order) the
+    columns follow the left half of the beam node by node, and over the
+    ladder each slice's pairs stay together; the restricted Gram matrix
+    thus keeps the few-entry band of the node-ordered front.
     """
     idx = np.arange(perm.size)
     lead = np.flatnonzero((idx < perm) | ((idx == perm) & (sign == parity)))
@@ -273,7 +275,7 @@ def refine_modes(gen: Generator, seeds) -> ModeRefinement:
     after REFINE_MAX_ITER steps returns its last iterate, not converged.
     """
     front = CondensedFront(gen)
-    start = np.random.default_rng(0).standard_normal(front.index.size).astype(complex)
+    start = np.random.default_rng(0).standard_normal(front.n_front).astype(complex)
     seeds = np.asarray(seeds, dtype=complex).ravel()
     modes, residuals, iterations = seeds.copy(), np.empty(seeds.size), np.zeros(seeds.size, int)
     converged, duplicate_of = np.zeros(seeds.size, bool), np.full(seeds.size, -1)
@@ -373,26 +375,23 @@ def windowed_abscissa(gen: Generator, eigenvalues: np.ndarray) -> float:
 RESOLVENT_RTOL = 1e-4
 
 
-def energy_cholesky(gen: Generator) -> tuple[np.ndarray, np.ndarray]:
-    """(R, p): banded Cholesky factor of B[p][:, p] (_energy_factor) and the order p.
+def energy_cholesky(gen: Generator) -> np.ndarray:
+    """Banded Cholesky factor R of the energy Gram matrix B (_energy_factor).
 
-    p is the front in node order (discretize.front_order) followed by the
-    history ladder.  B is block-diagonal between the two, and node order
-    keeps the front's band a few entries wide, where state order spreads
-    it over whole field blocks.  ValueError if B is only semidefinite: a
+    The state holds the front in node order ahead of the history ladder,
+    B is block-diagonal between the two, and node order keeps the front's
+    band a few entries wide.  ValueError if B is only semidefinite: a
     zero-energy mode (dnnd's axial mean mode) leaves the energy metric
     undefined, and the fixed pivot rule decides, not whether round-off
     lets a factorization through.
     """
-    eta = gen.layout.get("eta", slice(0, 0))
-    order = np.r_[front_order(gen), eta.start:eta.stop]
-    r = _energy_factor(gen.B[order][:, order])
+    r = _energy_factor(gen.B)
     if r is None:
         raise ValueError(
             "energy Gram matrix is only semidefinite (zero-energy mode); the resolvent "
             "norm in the energy metric is undefined for this variant"
         )
-    return r, order
+    return r
 
 
 def resolvent_scan(gen: Generator, lam: np.ndarray, max_iter: int = 400) -> ResolventScan:
@@ -403,8 +402,7 @@ def resolvent_scan(gen: Generator, lam: np.ndarray, max_iter: int = 400) -> Reso
     y = C^-1 B^-1 C^-H B x.  C^-1 and C^-H are the forward and adjoint
     solves of discretize.ShiftedSolver, so each sample factors only the
     front operator T(i lam); B^-1 is the banded Cholesky factor of
-    energy_cholesky, applied in its node order (vectors permuted in and
-    out), which refuses a semidefinite B with ValueError.
+    energy_cholesky, which refuses a semidefinite B with ValueError.
     Relative accuracy is driven well below 1e-3; iteration counts and a
     converged flag per sample are reported so stagnation is visible.
     """
@@ -414,7 +412,7 @@ def resolvent_scan(gen: Generator, lam: np.ndarray, max_iter: int = 400) -> Reso
         raise ValueError(
             f"requested frequency {lam.max():.6g} exceeds the grid resolution cap {cap:.6g}"
         )
-    r, order = energy_cholesky(gen)
+    r = energy_cholesky(gen)
     front = CondensedFront(gen)
     a, b = gen.A, gen.B
     n = gen.dim
@@ -432,10 +430,9 @@ def resolvent_scan(gen: Generator, lam: np.ndarray, max_iter: int = 400) -> Reso
         it = 0
         for it in range(1, max_iter + 1):
             # y = (C^H B C)^-1 B x
-            v = c.solve(b @ x, adjoint=True)[order]
+            v = c.solve(b @ x, adjoint=True)
             parts = la.cho_solve_banded((r, False), np.column_stack((v.real, v.imag)), check_finite=False)
-            v[order] = parts[:, 0] + 1j * parts[:, 1]
-            y = c.solve(v)
+            y = c.solve(parts[:, 0] + 1j * parts[:, 1])
             norm_y = np.sqrt(abs(np.vdot(y, b @ y)))
             y /= norm_y
             # Rayleigh quotient of the normal operator at y: ||C y||_B^2

@@ -271,6 +271,16 @@ class TestCliExitCodes:
         # the config is refused before any section writes an artifact
         assert list(out.glob("*")) == []
 
+    def test_thermal_assembly_with_zero_tau_exits_two(self, tmp_path, capsys):
+        # tau = 0 (Fourier heat) parses and classifies, but is not assembled
+        text = GOOD + "bc = dddd\nparams.thermal = true\nparams.rho3 = 1\nparams.delta = 1\n" \
+            "params.tau = 0\nparams.beta = 1\n"
+        out = tmp_path / "out"
+        code = main([str(write(tmp_path, text)), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: thermal assembly requires a positive relaxation time tau\n"
+        assert list(out.glob("*")) == []
+
     @pytest.mark.parametrize("changes,skip", [
         # 3 steps of 33.3 at stride 5: only t = 0 and t = 100 are recorded
         ({"sim.dt = 0.05": "sim.dt = 40"}, "exponential fit needs at least 4 samples in the window [40, 100], got 1"),

@@ -248,18 +248,37 @@ class TestDissipativity:
 
 class TestLayoutAndExport:
     def test_state_layout_covers_dim(self):
+        # the fields partition the state: every index belongs to exactly one
         for bc in ("ddd", "dddd", "dndd", "dnnd"):
             params = ALL_ONES if bc == "ddd" else THERMAL
             gen = small_generator(bc, params)
-            covered = sum(s.stop - s.start for s in gen.layout.values())
-            assert covered == gen.dim
+            covered = np.concatenate([np.arange(gen.dim)[index] for index in gen.layout.values()])
+            assert np.array_equal(np.sort(covered), np.arange(gen.dim))
 
     def test_coordinates_match_layout(self):
         gen = small_generator()
         coords = coordinates(gen)
-        for name, slc in gen.layout.items():
+        for name, index in gen.layout.items():
             if name in coords:
-                assert len(coords[name]) == slc.stop - slc.start
+                assert len(coords[name]) == len(index)
+
+    @pytest.mark.parametrize("memory", ["ns12", "exact"])
+    @pytest.mark.parametrize("bc", ["ddd", "dddd", "dndd", "dnnd", "two-field"])
+    def test_front_is_a_node_ordered_prefix(self, bc, memory):
+        # the assembly lays the front out in node order ahead of the ladder,
+        # so the front operator is banded with no permutation
+        mgrid = build_memory_grid(K_HALF, 12) if memory == "ns12" else exact_memory_grid(K_HALF)
+        gen = variant_generator(bc, K_HALF, build_spatial_grid(1.0, 9), mgrid)
+        nf = gen.dim - gen.ns_active * gen.n_eta
+        assert gen.n_front == nf and gen.layout["eta"] == slice(nf, gen.dim)
+        coords = coordinates(gen)
+        x, rank = np.full(gen.dim, np.nan), np.full(gen.dim, -1)
+        for k, name in enumerate(coords):  # field order breaks coordinate ties
+            x[gen.layout[name]], rank[gen.layout[name]] = coords[name], k
+        assert not np.isnan(x[:nf]).any() and np.isnan(x[nf:]).all()
+        assert np.array_equal(np.lexsort((rank[:nf], x[:nf])), np.arange(nf))
+        front = gen.A[:nf, :nf].tocoo()
+        assert np.max(np.abs(front.row - front.col)) <= 13
 
     def test_timoshenko_assembly_drops_w(self):
         p = PhysicalParams(rho1=1, rho2=1, k1=1, k2=2, k3=1)
@@ -278,7 +297,7 @@ class TestLadderCoupling:
         mgrid = build_memory_grid(K_HALF, 12) if memory == "ns12" else exact_memory_grid(K_HALF)
         gen = variant_generator(bc, K_HALF, build_spatial_grid(1.0, 7), mgrid)
         dpsi, eta = gen.layout["dpsi"], gen.layout["eta"]
-        assert gen.slice_force.shape == (dpsi.stop - dpsi.start, gen.n_eta)
+        assert gen.slice_force.shape == (dpsi.size, gen.n_eta)
         force = sp.kron(gen.slice_weights[np.newaxis, :], gen.slice_force)
         inject = sp.kron(np.ones((gen.ns_active, 1)), gen.slice_inject)
         assert (gen.A[dpsi][:, eta] != force).nnz == 0
@@ -334,8 +353,6 @@ class TestCondensedFront:
         kernel = KernelSpec(a, 1.0)
         gen = variant_generator(bc, kernel, build_spatial_grid(1.0, nx), build_memory_grid(kernel, ns=12))
         front = CondensedFront(gen)
-        ladder_free = np.delete(np.arange(gen.dim), gen.layout.get("eta", slice(0, 0)))
-        assert np.array_equal(np.sort(front.index), ladder_free)
         t = front.at(2.0 / 0.05)[0].tocoo()
         assert np.max(np.abs(t.row - t.col)) <= 13
 
@@ -350,7 +367,7 @@ class TestCondensedFront:
         lz = (z + 1.0 / ds) * np.eye(w.size) - np.eye(w.size, k=-1) / ds
         sigma = w @ np.linalg.solve(lz, np.ones(w.size))
         t, t_prime = (m.toarray() for m in front.at(z))
-        want = z * np.eye(front.index.size) - front.a_ff.toarray() - sigma * front.fj.toarray()
+        want = z * np.eye(front.n_front) - front.a_ff.toarray() - sigma * front.fj.toarray()
         assert np.abs(t - want).max() <= 1e-13 * np.abs(want).max()
         step = 1e-5
         slope = (front.at(z + step)[0] - front.at(z - step)[0]).toarray() / (2.0 * step)
