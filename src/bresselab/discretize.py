@@ -214,9 +214,9 @@ class Generator:
     by side in field order; every coupling of the front reaches one node
     over at most, so A and B restricted to the front are banded.  layout
     maps each front field to its state indices, in increasing coordinate,
-    and eta to the slice [n_front, dim): ns slices, slice-major.  eta_rep
-    records whether memory slices store nodal values ("nodal", Dirichlet
-    shear ends) or midpoint x-gradients ("gradient", Neumann shear ends).
+    and eta to the slice [n_front, dim): ns slices, slice-major.  Memory
+    slices store nodal values of psi on Dirichlet shear ends and midpoint
+    x-gradients of psi on Neumann shear ends.
     """
 
     params: PhysicalParams
@@ -227,12 +227,9 @@ class Generator:
     A: sp.csr_matrix
     B: sp.csr_matrix
     layout: dict[str, np.ndarray | slice]
-    sizes: dict[str, int]
-    eta_rep: str
     include_w: bool
     n_eta: int
     slice_weights: np.ndarray          # W_k, k = 1..ns (empty when a = 0)
-    slice_energy: sp.csr_matrix | None  # per-slice Gram of the memory term
     slice_force: sp.csr_matrix | None   # F: force of one unit-weight slice on dpsi (n_psi x n_eta)
     slice_inject: sp.csr_matrix | None  # J: dpsi injected into a slice (n_eta x n_psi)
 
@@ -250,19 +247,13 @@ class Generator:
         return self.dim - self.ns_active * self.n_eta
 
     @cached_property
-    def memory_form(self) -> sp.csr_matrix:
-        """D on the history block, with the memory rate eta^T D eta:
+    def damping(self) -> dict[str, sp.csr_matrix]:
+        """(B A)_XX for each damped field X present: the history ladder eta and the heat flux q.
 
-            D = -(1/(2 ds)) kron(diag(w - w_next) + Delta^T diag(w) Delta, K),
-
-        where w_next shifts the slice weights up by one slice (0 past the
-        last), Delta is the slice difference with eta_0 = 0 and K is
-        slice_energy.
+        Every other block of B A + (B A)^T cancels, so u^T B A u is the sum
+        of x^T (B A)_XX x over these fields.
         """
-        w, ns = self.slice_weights, self.ns_active
-        delta = sp.identity(ns) - sp.eye(ns, k=-1)
-        across = sp.diags(w - np.append(w[1:], 0.0)) + delta.T @ sp.diags(w) @ delta
-        return sp.kron((-0.5 / self.mgrid.ds) * across, self.slice_energy, format="csr")
+        return {x: (self.B[i] @ self.A[:, i]).tocsr() for x, i in self.layout.items() if x in ("eta", "q")}
 
     def on_memory_grid(self, mgrid: MemoryGrid) -> Generator:
         """The same variant (include_w kept) reassembled on another history grid."""
@@ -294,11 +285,11 @@ def reflection(gen: Generator) -> tuple[np.ndarray, np.ndarray]:
     sign = dict(_MIRROR_SIGN)
     for name, _ in _position_fields(gen.bc, gen.include_w):
         sign["d" + name] = sign[name]
-    sign["eta"] = -1.0 if gen.eta_rep == "nodal" else 1.0
+    sign["eta"] = 1.0 if gen.bc.psi_neumann else -1.0
     perm = np.arange(gen.dim)
     signs = np.empty(gen.dim)
     for name, index in gen.layout.items():
-        width = gen.n_eta if name == "eta" else gen.sizes[name]
+        width = gen.n_eta if name == "eta" else index.size
         perm[index] = perm[index].reshape(-1, width)[:, ::-1].ravel()
         signs[index] = sign[name]
     return perm, signs
@@ -388,19 +379,18 @@ def _assemble(params, kernel, bc, grid, mgrid, include_w):
     w_slices = mgrid.weights[1:] * evaluate(kernel, mgrid.s[1:]) if kernel.a > 0.0 else np.zeros(0)
     has_memory = w_slices.size > 0
     g_psi = grads["psi"]
-    eta_rep = "gradient" if bc.psi_neumann else "nodal"
-    n_eta, slice_energy, force_one, inject = 0, None, None, None
+    n_eta, gram, force_one, inject = 0, None, None, None
     if has_memory:
         if bc.psi_neumann:
             n_eta = nx + 1
-            slice_energy = sp.diags(m_mid).tocsr()
+            gram = sp.diags(m_mid).tocsr()
             # force of one unit-weight slice on the shear velocity
             force_one = (-sp.diags(1.0 / (p.rho2 * masses["psi"])) @ (g_psi.T @ sp.diags(m_mid))).tocsr()
             inject = g_psi  # d/dt slice picks up grad of psi_t
         else:
             n_eta = masses["psi"].size
-            slice_energy = (g_psi.T @ sp.diags(m_mid) @ g_psi).tocsr()
-            force_one = (-sp.diags(1.0 / (p.rho2 * masses["psi"])) @ slice_energy).tocsr()
+            gram = (g_psi.T @ sp.diags(m_mid) @ g_psi).tocsr()
+            force_one = (-sp.diags(1.0 / (p.rho2 * masses["psi"])) @ gram).tocsr()
             inject = sp.identity(n_eta, format="csr")
         transport = sp.diags(
             [np.full(ns, -1.0 / mgrid.ds), np.full(ns - 1, 1.0 / mgrid.ds)],
@@ -409,7 +399,7 @@ def _assemble(params, kernel, bc, grid, mgrid, include_w):
         a_eta_eta = sp.kron(transport, sp.identity(n_eta), format="csr")
         a_eta_vel_psi = sp.kron(np.ones((ns, 1)), inject, format="csr")
         a_vel_psi_eta = sp.kron(w_slices[np.newaxis, :], force_one, format="csr")
-        b_eta = sp.kron(sp.diags(w_slices), slice_energy, format="csr")
+        b_eta = sp.kron(sp.diags(w_slices), gram, format="csr")
 
     # --- thermal block ---
     thermal = p.thermal
@@ -427,14 +417,12 @@ def _assemble(params, kernel, bc, grid, mgrid, include_w):
 
     # --- state layout: the front in node order, then the history ladder ---
     coords = _field_coordinates(grid, fields, thermal)
-    sizes = {name: x.size for name, x in coords.items()}
     x = np.concatenate(list(coords.values()))
     rank = np.empty(x.size, dtype=np.intp)
     rank[np.argsort(x, kind="stable")] = np.arange(x.size)
-    layout = dict(zip(coords, np.split(rank, np.cumsum(list(sizes.values()))[:-1])))
+    layout = dict(zip(coords, np.split(rank, np.cumsum([c.size for c in coords.values()])[:-1])))
     dim = x.size
     if has_memory:
-        sizes["eta"] = ns * n_eta
         layout["eta"] = slice(dim, dim + ns * n_eta)
         dim += ns * n_eta
 
@@ -467,12 +455,9 @@ def _assemble(params, kernel, bc, grid, mgrid, include_w):
         A=mat_a,
         B=mat_b,
         layout=layout,
-        sizes=sizes,
-        eta_rep=eta_rep,
         include_w=include_w,
         n_eta=n_eta,
         slice_weights=np.asarray(w_slices, dtype=float),
-        slice_energy=slice_energy,
         slice_force=force_one,
         slice_inject=inject,
     )
@@ -637,25 +622,23 @@ def dissipation_rates(gen: Generator, u: np.ndarray):
     """(memory rate, heat rate): the exact split of d/dt E along the flow.
 
     Takes a real state, or an (m, dim) block of states and then returns
-    one array per rate with a row per state.  The memory rate is
-    eta^T D eta with D = Generator.memory_form, the discrete realization
-    of the continuous dissipation functional (1/2) int int g' |eta_x|^2:
-    the upwind transport quadratic form after summation by parts in s.
-    The heat rate is -beta ||q||^2 in the midpoint mass.  Both are
-    nonpositive by construction and their sum equals <A u, u>_B exactly,
-    which is what the energy-balance checks rely on.
+    one array per rate with a row per state.  Each rate is x^T (B A)_XX x
+    with (B A)_XX = Generator.damping[X], X the history ladder eta or the
+    heat flux q (rate 0 when absent).  The memory block is kron(diag(w)
+    (N - I) / ds, K), N the slice shift and K the per-slice Gram, whose
+    form summation by parts in s turns into the discrete (1/2) int int g'
+    |eta_x|^2, -(1/(2 ds)) kron(diag(w - w_next) + Delta^T diag(w) Delta, K):
+    nonpositive, since the weights w decrease.  The heat block is -beta
+    times the midpoint mass.  The rates sum to <A u, u>_B exactly.
     """
     cols = np.ascontiguousarray(np.asarray(u).T)
-    mem, heat = np.zeros((2,) + cols.shape[1:])
-    if gen.ns_active > 0:
-        eta = cols[gen.layout["eta"]]
-        mem = _pair(eta, gen.memory_form @ eta)
-    if gen.params.thermal:
-        q = cols[gen.layout["q"]]
-        heat = -gen.params.beta * gen.grid.h * _pair(q, q)
+    rates = dict.fromkeys(("eta", "q"), np.zeros(cols.shape[1:]))
+    for name, block in gen.damping.items():
+        x = cols[gen.layout[name]]
+        rates[name] = _pair(x, block @ x)
     if cols.ndim == 1:
-        return float(mem), float(heat)
-    return mem, heat
+        return float(rates["eta"]), float(rates["q"])
+    return rates["eta"], rates["q"]
 
 
 def _pair(cols: np.ndarray, image: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from .discretize import (
     build_memory_grid,
     build_spatial_grid,
 )
-from .kernel import validate_hypotheses
+from .kernel import evaluate, total_mass, validate_hypotheses
 from .model import Regime, RegimeReport, classify_regime
 from .simulate import initial_state, simulate
 from .spectra import (
@@ -131,6 +131,19 @@ class _RunContext:
     @cached_property
     def mgrid(self):
         return self._build(build_memory_grid, self.cfg.kernel, self.cfg.ns)
+
+    @cached_property
+    def memory_error(self) -> float | None:
+        """Writes once the limit w0/g0 of |sigma(i lam)/sigma_exact - 1|; None without memory.
+
+        w0 = W_0 g(0) weighs the s = 0 node, whose slice the state does not carry.
+        """
+        kernel, mgrid = self.cfg.kernel, self.mgrid
+        if kernel.a == 0.0:
+            return None
+        ratio = mgrid.weights[0] * evaluate(kernel, 0.0) / total_mass(kernel)
+        self.rep.say(f"memory ladder: ns = {mgrid.ns}, high-frequency transfer error w0/g0 = {ratio:.4f}")
+        return ratio
 
     @cached_property
     def generator(self):
@@ -339,6 +352,7 @@ def run_spectrum(ctx: _RunContext, out_dir: Path) -> list[Path]:
         f"windowed abscissa: {_f(windowed_abscissa(gen, report.eigenvalues))} "
         f"over |Im| <= {_f(win)} (raw whole-matrix {_f(report.max_real_part)})"
     )
+    ctx.memory_error  # first use writes the w0/g0 line
     return [spath]
 
 
@@ -362,6 +376,7 @@ def run_resolvent(ctx: _RunContext, out_dir: Path) -> list[Path]:
         f"resolvent health: {np.count_nonzero(~scan.converged)} of {scan.lam.size} samples "
         "stopped unconverged at the iteration cap"
     )
+    ctx.memory_error  # first use writes the w0/g0 line
     if report is None:
         rep.say(f"resolvent growth exponent: {fit.exponent:.4f} (no regime prediction)")
         return [rpath]

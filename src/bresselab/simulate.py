@@ -143,12 +143,11 @@ def initial_state(gen: Generator, kind: str, index: int = 1, seed: int = 0) -> n
             u[gen.layout[name]] = _shape(x[name], L, neumann, index)
     elif kind == "random":
         rng = np.random.default_rng(seed)
-        for name, _ in fields:
-            u[gen.layout[name]] = rng.standard_normal(gen.sizes[name])
-            u[gen.layout["d" + name]] = rng.standard_normal(gen.sizes[name])
+        drawn = [n for name, _ in fields for n in (name, "d" + name)]
         if gen.params.thermal:
-            u[gen.layout["theta"]] = rng.standard_normal(gen.sizes["theta"])
-            u[gen.layout["q"]] = rng.standard_normal(gen.sizes["q"])
+            drawn += ["theta", "q"]
+        for name in drawn:
+            u[gen.layout[name]] = rng.standard_normal(gen.layout[name].size)
     else:
         raise ValueError(f"unknown initial condition kind {kind!r}")
     return u

@@ -5,7 +5,8 @@
 # The traced benchmark run replaces names that bresselab.experiments and
 # bresselab.simulate look up at call time.  A rename in src/ breaks that
 # run without breaking any package test, so this pins every hooked name,
-# and that undo() puts each original back.
+# and that undo() puts each original back.  It also parses every config
+# the benchmark's workloads generate.
 
 import importlib
 import inspect
@@ -15,6 +16,7 @@ import pytest
 
 import bresselab.experiments as ex
 import bresselab.simulate as sim
+from bresselab.configio import parse_config
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -41,6 +43,12 @@ def tracing(monkeypatch):
     return importlib.import_module("tracing")
 
 
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("workloads")
+
+
 def test_install_patches_every_hooked_name_and_undo_restores_it(tracing):
     originals = [getattr(owner, name) for owner, name in HOOKED]
     undo = tracing.install(tracing.Tracer())
@@ -56,3 +64,17 @@ def test_install_patches_every_hooked_name_and_undo_restores_it(tracing):
 def test_resolvent_scan_keeps_its_max_iter_default():
     # the tracer counts samples that stop at this cap
     assert inspect.signature(ex.resolvent_scan).parameters["max_iter"].default == 400
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_every_benchmark_config_parses(workloads, tmp_path, seed):
+    # the benchmark writes each config to <config_id>.cfg and parses it; a
+    # renamed or retyped key fails here rather than in the benchmark run
+    ids = set()
+    for make in workloads.WORKLOADS.values():
+        for config_id, text in make(seed):
+            path = tmp_path / f"{config_id}.cfg"
+            path.write_text(text)
+            assert parse_config(path).config_id == config_id
+            ids.add(config_id)
+    assert {config_id for config_id, _ in workloads.KNOWN_FAIL} <= ids

@@ -497,6 +497,25 @@ class TestArtifacts:
         differ = [name for name in names if (runs[0] / name).read_bytes() != (runs[1] / name).read_bytes()]
         assert differ == [], "these differ between --threads 1 and --threads 2"
 
+    @pytest.mark.parametrize("experiment", ["spectrum", "resolvent", "full-report", "simulate"])
+    def test_frequency_sections_print_the_ladder_memory_error(self, tmp_path, experiment):
+        # w0/g0 = W_0 g(0)/g0, the weight of the s = 0 node the state does
+        # not carry: one untagged line per report, from the spectrum or the
+        # resolvent section, none from simulate
+        text = GOOD.replace("experiment = simulate", f"experiment = {experiment}")
+        text = text.replace("params.k2 = 1", "params.k2 = 2").replace("disc.ns = 12", "disc.ns = 32")
+        text += "spec.lambda_min = 3\nspec.lambda_max = 12\n"
+        cfg = parse_config(write(tmp_path, text))
+        lines = [line for line in run_experiment(cfg, tmp_path / "out").report_lines
+                 if line.startswith("memory ladder:")]
+        if experiment == "simulate":
+            assert lines == []
+            return
+        mgrid = build_memory_grid(cfg.kernel, cfg.ns)
+        want = mgrid.weights[0] * cfg.kernel.a / (cfg.kernel.a / cfg.kernel.c)
+        assert lines == [f"memory ladder: ns = 32, high-frequency transfer error w0/g0 = {want:.4f}"]
+        assert f"{want:.4f}" == "0.2397"
+
     def test_spectrum_reports_windowed_abscissa(self, tmp_path):
         text = GOOD.replace("experiment = simulate", "experiment = spectrum")
         cfg = parse_config(write(tmp_path, text))

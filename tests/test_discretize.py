@@ -134,7 +134,7 @@ class TestExactMemory:
         params = ALL_ONES if bc == "ddd" else THERMAL
         gen = assemble_generator(params, K_HALF, BoundaryCondition.from_string(bc),
                                  build_spatial_grid(1.0, nx), exact_memory_grid(K_HALF))
-        assert gen.ns_active == 1 and gen.sizes["eta"] == gen.n_eta
+        assert gen.ns_active == 1 and gen.layout["eta"] == slice(gen.dim - gen.n_eta, gen.dim)
         ba = (gen.B @ gen.A).toarray()
         lam = np.linalg.eigvalsh(ba + ba.T)
         assert lam[-1] <= 1e-13 * np.abs(lam).max(), f"{bc}: lambda_max(BA + A^T B) = {lam[-1]:.3e}"
@@ -238,6 +238,37 @@ class TestDissipativity:
         assert mems.shape == heats.shape == (5,)
         assert np.all(mems <= 0.0) and np.all(heats <= 0.0)
         np.testing.assert_allclose(mems + heats, forms, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("memory", ["ns32", "exact"])
+    @pytest.mark.parametrize("bc", ["ddd", "dddd", "dndd", "dnnd"])
+    def test_damped_blocks_match_summation_by_parts(self, bc, memory):
+        # oracle: the upwind transport form after summation by parts in s,
+        # -(1/(2 ds)) kron(diag(w - w_next) + Delta^T diag(w) Delta, K), with
+        # K the per-slice Gram read off B's first slice block; and the heat
+        # block -beta times the midpoint mass
+        params = ALL_ONES if bc == "ddd" else THERMAL
+        mgrid = build_memory_grid(K_HALF, 32) if memory == "ns32" else exact_memory_grid(K_HALF)
+        gen = assemble_generator(params, K_HALF, BoundaryCondition.from_string(bc),
+                                 build_spatial_grid(1.0, 12), mgrid)
+        w, ns, n = gen.slice_weights, gen.ns_active, gen.n_eta
+        eta = gen.layout["eta"]
+        gram = gen.B[eta][:, eta][:n, :n] / w[0]
+        delta = sp.identity(ns) - sp.eye(ns, k=-1)
+        across = sp.diags(w - np.append(w[1:], 0.0)) + delta.T @ sp.diags(w) @ delta
+        oracle = sp.kron((-0.5 / mgrid.ds) * across, gram).toarray()
+        rng = np.random.default_rng(29)
+        block = rng.standard_normal((5, gen.dim))
+        mems, heats = dissipation_rates(gen, block)
+        want = np.einsum("ij,ij->i", block[:, eta], block[:, eta] @ oracle)
+        np.testing.assert_allclose(mems, want, rtol=1e-12)
+        if params.thermal:
+            q = gen.layout["q"]
+            mass = -params.beta * gen.grid.h * np.ones(q.size)
+            heat_block = gen.damping["q"].toarray()
+            assert np.abs(heat_block - np.diag(mass)).max() <= 1e-12 * np.abs(mass).max()
+            np.testing.assert_allclose(heats, block[:, q] ** 2 @ mass, rtol=1e-12)
+        else:
+            assert "q" not in gen.damping and np.all(heats == 0.0)
 
     def test_elastic_has_no_heat_rate(self):
         gen = small_generator("ddd", ALL_ONES)

@@ -98,7 +98,7 @@ class TestStepper:
         gen = make_gen(params=ALL_ONES if bc == "ddd" else THERMAL, nx=nx, ns=32, bc=bc)
         Stepper(gen, 0.05)
         ((s, lu),) = factored
-        assert s.shape[0] == gen.dim - gen.sizes["eta"]
+        assert s.shape[0] == gen.n_front
         fill = lu.L.nnz + lu.U.nnz
         assert fill <= {"ddd": 2.2, "dddd": 2.75}[bc] * s.nnz, f"bc={bc} nx={nx}: factor holds {fill} nonzeros for {s.nnz}"
 

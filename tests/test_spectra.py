@@ -29,6 +29,7 @@ from bresselab.discretize import (
     assemble_timoshenko_generator,
     build_memory_grid,
     build_spatial_grid,
+    exact_memory_grid,
     reflection,
 )
 from bresselab.spectra import (
@@ -405,6 +406,27 @@ class TestRefineModes:
         assert refined.modes.size == 1 and np.isfinite(refined.modes[0])
         assert not refined.converged[0] and refined.iterations[0] == 1
         assert refined.duplicate_of[0] == -1 and refined.distinct.size == 0
+
+    def test_ladder_modes_approach_the_exact_memory_mode(self):
+        # one mode of the equal-speed elastic beam (ddd, nx = 40) refined on
+        # ladders of growing ns, each seeded at the exact-memory mode: the
+        # gap is first order in ds, so it falls about 4x per 4x in ns.  Re
+        # alone is not monotone in ns (-1.30e-4 at ns = 32, -1.08e-4 at 128),
+        # so the test bounds |gap| and its rate
+        exact = make_gen(nx=40).on_memory_grid(exact_memory_grid(KernelSpec(0.5, 1.0)))
+        found = spectra.refine_modes(exact, [-2.548072e-4 + 36.387576j])
+        assert found.converged.all()
+        target = found.modes[0]
+        assert abs(target - (-2.548072e-4 + 36.387576j)) <= 1e-6
+        gaps = []
+        for ns in (32, 128, 512, 2048, 8192):
+            refined = spectra.refine_modes(exact.on_memory_grid(build_memory_grid(exact.kernel, ns)), [target])
+            assert refined.converged.all(), ns
+            gaps.append(abs(refined.modes[0] - target))
+        gaps = np.array(gaps)
+        assert gaps[0] <= 1.5e-3 and gaps[-1] <= 5e-6, gaps
+        rates = gaps[:-1] / gaps[1:]
+        assert np.all((rates >= 3.5) & (rates <= 5.5)), rates
 
 
 class TestFrequencyWindows:
