@@ -229,9 +229,9 @@ class Generator:
     layout: dict[str, np.ndarray | slice]
     include_w: bool
     n_eta: int
-    slice_weights: np.ndarray          # W_k, k = 1..ns (empty when a = 0)
-    slice_force: sp.csr_matrix | None   # F: force of one unit-weight slice on dpsi (n_psi x n_eta)
-    slice_inject: sp.csr_matrix | None  # J: dpsi injected into a slice (n_eta x n_psi)
+    slice_weights: np.ndarray    # W_k, k = 1..ns (empty when a = 0)
+    slice_force: sp.csr_matrix   # F: force of one unit-weight slice on dpsi (n_psi x n_eta, n_psi x 0 when a = 0)
+    slice_inject: sp.csr_matrix  # J: dpsi injected into a slice (n_eta x n_psi, 0 x n_psi when a = 0)
 
     @property
     def dim(self) -> int:
@@ -254,6 +254,39 @@ class Generator:
         of x^T (B A)_XX x over these fields.
         """
         return {x: (self.B[i] @ self.A[:, i]).tocsr() for x, i in self.layout.items() if x in ("eta", "q")}
+
+    @cached_property
+    def front_blocks(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        """(A_FF, F J placed on the dpsi rows and columns): the two fixed parts of T(z)."""
+        nf, dpsi = self.n_front, self.layout["dpsi"]
+        return self.A[:nf, :nf], _place_blocks(nf, [(dpsi, dpsi, self.slice_force @ self.slice_inject)])
+
+    def front_operator(self, z: complex) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        """(T(z), T'(z)): z I - A with its history ladder eliminated.
+
+        The front is the state prefix ahead of the ladder (positions,
+        velocities, theta and q), held in node order, so A_FF =
+        A[:n_front, :n_front], F J and T(z) are banded: no entry of T(z)
+        lies more than 13 places off its diagonal on any variant.  The
+        history block of z I - A is kron(L(z), I) with L(z) = (z + 1/ds) I
+        - (1/ds) N, and it meets the front only through -kron(1, J) and
+        -kron(w^T, F), with F = slice_force and J = slice_inject on the
+        dpsi rows and columns.  Eliminating it leaves
+
+            T(z) = z I - A_FF - sigma(z) F J,    T'(z) = I - sigma'(z) F J,
+
+        with sigma(z) = w^T L(z)^-1 1 the ladder's memory transfer function
+        and sigma'(z) = -w^T L(z)^-2 1.  Without memory F and J are empty
+        and T(z) is z I - A.  Off z = -1/ds, z is an eigenvalue of A
+        exactly when T(z) is singular.
+        """
+        a_ff, fj = self.front_blocks
+        w, ds = self.slice_weights, self.mgrid.ds
+        slices = SliceSolver(z + 1.0 / ds, 1.0 / ds, w.size)
+        b = slices.solve(np.ones((w.size, 1)))
+        sigma, slope = w @ b[:, 0], -(w @ slices.solve(b)[:, 0])
+        eye = sp.identity(self.n_front)
+        return z * eye - a_ff - sigma * fj, eye - slope * fj
 
     def on_memory_grid(self, mgrid: MemoryGrid) -> Generator:
         """The same variant (include_w kept) reassembled on another history grid."""
@@ -379,7 +412,9 @@ def _assemble(params, kernel, bc, grid, mgrid, include_w):
     w_slices = mgrid.weights[1:] * evaluate(kernel, mgrid.s[1:]) if kernel.a > 0.0 else np.zeros(0)
     has_memory = w_slices.size > 0
     g_psi = grads["psi"]
-    n_eta, gram, force_one, inject = 0, None, None, None
+    # without memory the ladder is empty: F is n_psi x 0 and J is 0 x n_psi
+    n_psi = masses["psi"].size
+    n_eta, force_one, inject = 0, sp.csr_matrix((n_psi, 0)), sp.csr_matrix((0, n_psi))
     if has_memory:
         if bc.psi_neumann:
             n_eta = nx + 1
@@ -513,46 +548,6 @@ def band_storage(m: sp.spmatrix, lower: bool) -> tuple[np.ndarray, int]:
     return ab, k
 
 
-class CondensedFront:
-    """z I - A with its history ladder eliminated: the front operator T(z).
-
-    The front is the state prefix ahead of the ladder (positions,
-    velocities, theta and q), which the assembly holds in node order, so
-    a_ff = A[:n_front, :n_front], fj and T(z) are banded: no entry of T(z)
-    lies more than 13 places off its diagonal on any variant.  dpsi holds
-    the front indices of the shear velocities.  The history
-    block of z I - A is kron(L(z), I) with L(z) = (z + 1/ds) I - (1/ds) N,
-    and it meets the front only through -kron(1, J) and -kron(w^T, F),
-    with F = gen.slice_force and J = gen.slice_inject on the dpsi rows
-    and columns.  Eliminating it leaves
-
-        T(z) = z I - A_FF - sigma(z) F J,    T'(z) = I - sigma'(z) F J,
-
-    with sigma(z) = w^T L(z)^-1 1 the ladder's memory transfer function.
-    Off z = -1/ds, z is an eigenvalue of A exactly when T(z) is singular.
-    """
-
-    def __init__(self, gen: Generator):
-        self.weights, self.ds, self.n_eta = gen.slice_weights, gen.mgrid.ds, gen.n_eta
-        self.n_front, self.dpsi = gen.n_front, gen.layout["dpsi"]
-        self.a_ff = gen.A[:self.n_front, :self.n_front]
-        n_psi = self.dpsi.size
-        self.force, self.inject = (
-            (gen.slice_force, gen.slice_inject) if self.n_eta
-            else (sp.csr_matrix((n_psi, 0)), sp.csr_matrix((0, n_psi)))
-        )
-        fj = (self.force @ self.inject).tocoo()
-        self.fj = sp.csr_matrix((fj.data, (self.dpsi[fj.row], self.dpsi[fj.col])), shape=self.a_ff.shape)
-
-    def at(self, z: complex) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """(T(z), T'(z)), with sigma'(z) = -w^T L(z)^-2 1."""
-        slices = SliceSolver(z + 1.0 / self.ds, 1.0 / self.ds, self.weights.size)
-        b = slices.solve(np.ones((self.weights.size, 1)))
-        sigma, slope = self.weights @ b[:, 0], -(self.weights @ slices.solve(b)[:, 0])
-        eye = sp.identity(self.n_front)
-        return z * eye - self.a_ff - sigma * self.fj, eye - slope * self.fj
-
-
 class ShiftedSolver:
     """x with (z I - A) x = r, or with (z I - A)^H x = r, through the front T(z).
 
@@ -569,24 +564,24 @@ class ShiftedSolver:
 
     where L^-H = L(conj z)^-T is the slice solve at conj(z) run over the
     slices in reverse order.  T(z) is factored once by factor, which
-    takes T(z) in CSC and returns an LU whose solve(v) is T^-1 v; the
-    adjoint solve also calls solve(v, "H"), which splu's SuperLU serves
-    and simulate.BandLU does not.  A real z takes a real r.  The front is
-    the state prefix [0, n_front) of r and x, and F and J are dense blocks
-    on its dpsi rows.
+    takes T(z) = gen.front_operator(z)[0] in CSC and returns an LU whose
+    solve(v) is T^-1 v; the adjoint solve also calls solve(v, "H"), which
+    splu's SuperLU serves and simulate.BandLU does not.  A real z takes a
+    real r.  The front is the state prefix [0, n_front) of r and x, and F
+    and J are dense blocks on its dpsi rows.
     """
 
-    def __init__(self, front: CondensedFront, z: complex, factor):
-        ns, ds = front.weights.size, front.ds
-        self._n_front, self._dpsi = front.n_front, front.dpsi
-        self._shape, self._weights = (ns, front.n_eta), front.weights
+    def __init__(self, gen: Generator, z: complex, factor):
+        ns, ds = gen.ns_active, gen.mgrid.ds
+        self._n_front, self._dpsi = gen.n_front, gen.layout["dpsi"]
+        self._shape, self._weights = (ns, gen.n_eta), gen.slice_weights
         self._dtype = np.result_type(z, float)
         self._slices = SliceSolver(z + 1.0 / ds, 1.0 / ds, ns)
         self._slices_conj = SliceSolver(np.conj(z) + 1.0 / ds, 1.0 / ds, ns)
-        self._c = self._slices.solve(front.weights[::-1, np.newaxis])[::-1, 0]
+        self._c = self._slices.solve(gen.slice_weights[::-1, np.newaxis])[::-1, 0]
         self._b_conj = self._slices_conj.solve(np.ones((ns, 1)))[:, 0]
-        self._lu = factor(front.at(z)[0].tocsc())
-        self._force, self._inject = front.force.toarray(), front.inject.toarray()
+        self._lu = factor(gen.front_operator(z)[0].tocsc())
+        self._force, self._inject = gen.slice_force.toarray(), gen.slice_inject.toarray()
 
     def solve(self, r: np.ndarray, adjoint: bool = False) -> np.ndarray:
         nf, dpsi = self._n_front, self._dpsi

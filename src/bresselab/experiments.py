@@ -98,7 +98,10 @@ class _RunContext:
 
     @cached_property
     def regime_report(self) -> RegimeReport | None:
-        """Writes the classification block; None when the kernel is inadmissible."""
+        """Writes the classification block; None when the kernel is inadmissible.
+
+        The assembly refuses such a kernel, so a runner that reads the generator never sees None.
+        """
         cfg, rep = self.cfg, self.rep
         hyp = validate_hypotheses(cfg.kernel, cfg.params.k2)
         rep.check(
@@ -261,7 +264,7 @@ def run_simulate(ctx: _RunContext, out_dir: Path) -> list[Path]:
             f"fit[polynomial]: C = {_f(fp.amplitude)} alpha = {_f(fp.rate)} r2 = {fp.r2:.6f}"
         )
 
-    if report is not None and fe is not None:
+    if fe is not None:
         regime = report.regime
         if regime is Regime.EXPONENTIAL:
             rep.check(
@@ -377,9 +380,6 @@ def run_resolvent(ctx: _RunContext, out_dir: Path) -> list[Path]:
         "stopped unconverged at the iteration cap"
     )
     ctx.memory_error  # first use writes the w0/g0 line
-    if report is None:
-        rep.say(f"resolvent growth exponent: {fit.exponent:.4f} (no regime prediction)")
-        return [rpath]
     regime = report.regime
     measured = f"exponent = {fit.exponent:.4f} over {fit.lam.size} envelope points"
     if regime is Regime.EXPONENTIAL:

@@ -16,7 +16,6 @@ from scipy.linalg.blas import dtbsv
 from scipy.sparse.linalg import splu
 
 from .discretize import (
-    CondensedFront,
     Generator,
     ShiftedSolver,
     _position_fields,
@@ -52,7 +51,7 @@ class BandLU:
     column elimination-tree postorder can move columns even in the
     natural order), so any other permutation raises ValueError.  The
     band of L and U is T's own, which a node-ordered front
-    (CondensedFront) keeps 13 or fewer places to each side of the diagonal.
+    (Generator.front_operator) keeps 13 or fewer places to each side of the diagonal.
     """
 
     def __init__(self, t):
@@ -92,7 +91,7 @@ class Stepper:
         if not (np.isfinite(dt) and dt > 0.0):
             raise ValueError(f"dt must be finite and > 0, got {dt}")
         self._scale = 4.0 / dt
-        self._solver = ShiftedSolver(CondensedFront(gen), 2.0 / dt, BandLU)
+        self._solver = ShiftedSolver(gen, 2.0 / dt, BandLU)
 
     def advance(self, u: np.ndarray) -> np.ndarray:
         x = self._solver.solve(u)

@@ -17,7 +17,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.linalg._umath_linalg
 import scipy.linalg as la
 import scipy.linalg._flapack
 import scipy.sparse as sp
@@ -25,31 +24,31 @@ from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
 from .characteristic import branch_seeds
-from .discretize import CondensedFront, Generator, ShiftedSolver, band_storage, reflection
+from .discretize import Generator, ShiftedSolver, band_storage, reflection
 from .model import characteristic_speeds
 
 # Largest dimension fed to the dense eigensolver.
 DENSE_DIM_CAP = 8000
 
-# numpy (dgeev) and scipy (cholesky_banded, dtbtrs) each bundle their own
-# OpenBLAS.  dlsym through an extension module's handle also searches the
-# libraries it links, so these handles reach the two thread counts.
-_NUMPY_BLAS = ctypes.CDLL(numpy.linalg._umath_linalg.__file__)
+# scipy's bundled OpenBLAS runs every LAPACK call of a dense half
+# (cholesky_banded, dtbtrs and dgeev).  dlsym through an extension
+# module's handle also searches the libraries it links, so this handle
+# reaches that OpenBLAS's dgeev and its thread count.
 _SCIPY_BLAS = ctypes.CDLL(scipy.linalg._flapack.__file__)
 
-# LAPACK dgeev of numpy's OpenBLAS: 64-bit integers, Fortran calling
-# convention with the two character lengths trailing.  ctypes releases
-# the GIL for the whole call.
-_I64 = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+# LAPACK dgeev: 32-bit integers, Fortran calling convention with the two
+# character lengths trailing.  ctypes releases the GIL for the whole
+# call, which scipy's f2py lapack.dgeev holds.
+_I32 = np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS")
 _F64 = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS")
-_DGEEV = _NUMPY_BLAS.scipy_dgeev_64_
+_DGEEV = _SCIPY_BLAS.scipy_dgeev_
 _DGEEV.restype = None
 _DGEEV.argtypes = [
     ctypes.c_char_p, ctypes.c_char_p,   # jobvl, jobvr
-    _I64, _F64, _I64,                   # n, a, lda
+    _I32, _F64, _I32,                   # n, a, lda
     _F64, _F64,                         # wr, wi
-    _F64, _I64, _F64, _I64,             # vl, ldvl, vr, ldvr
-    _F64, _I64, _I64,                   # work, lwork, info
+    _F64, _I32, _F64, _I32,             # vl, ldvl, vr, ldvr
+    _F64, _I32, _I32,                   # work, lwork, info
     ctypes.c_size_t, ctypes.c_size_t,
 ]
 
@@ -125,10 +124,10 @@ def _eigvals_inplace(a: np.ndarray) -> np.ndarray:
     if not (np.isfinite(a.max()) and np.isfinite(a.min())):
         raise la.LinAlgError("non-finite entry in the matrix handed to dgeev")
     n = a.shape[0]
-    dim, lda, one = (np.array([k], dtype=np.int64) for k in (n, max(1, n), 1))
+    dim, lda, one = (np.array([k], dtype=np.int32) for k in (n, max(1, n), 1))
     wr, wi, unused = np.empty(n), np.empty(n), np.empty(1)
     head = (b"N", b"N", dim, a, lda, wr, wi, unused, one, unused, one)
-    work, lwork, info = np.empty(1), np.array([-1], dtype=np.int64), np.zeros(1, dtype=np.int64)
+    work, lwork, info = np.empty(1), np.array([-1], dtype=np.int32), np.zeros(1, dtype=np.int32)
     _DGEEV(*head, work, lwork, info, 1, 1)  # workspace query
     if info[0] == 0:
         lwork[0] = int(work[0])
@@ -176,11 +175,6 @@ def _half_spectrum(gen: Generator, q: sp.csc_matrix) -> tuple[np.ndarray, tuple[
     return _eigvals_inplace(x), (x.shape[0], True)
 
 
-def _set_blas_threads(counts: list[int]) -> list[int]:
-    """Set the numpy and the scipy OpenBLAS thread counts; returns the previous ones."""
-    return [lib.openblas_set_num_threads_local(k) for lib, k in zip((_NUMPY_BLAS, _SCIPY_BLAS), counts)]
-
-
 def compute_spectrum(gen: Generator) -> SpectrumReport:
     """All eigenvalues of the generator by two half-size dense solves.
 
@@ -195,9 +189,10 @@ def compute_spectrum(gen: Generator) -> SpectrumReport:
     second BLAS thread, and two single-threaded solves side by side keep
     both cores busy.  A half holds one dense array of its own size, a
     quarter of a full-size dense matrix, in a mapping of its own
-    (_half_spectrum).  The bundled OpenBLAS builds set their thread
-    count for the whole process, so it is set to 1 around the pool and
-    restored after it.  The pool size is read from the loaded library,
+    (_half_spectrum).  Every BLAS and LAPACK call of a half runs in
+    scipy's bundled OpenBLAS, which sets its thread count for the whole
+    process, so that count is set to 1 around the pool and restored
+    after it.  The pool size is read from the same library,
     so --threads 1 solves the halves in turn, and the eigenvalues do not
     depend on the cap.  Leaving the pool waits for both halves, so a half
     that raises cannot cancel the other before a worker picks it up.
@@ -221,14 +216,14 @@ def compute_spectrum(gen: Generator) -> SpectrumReport:
         if (p @ m != m @ p).nnz:
             raise ValueError(f"generator matrix {name} does not commute with the mirror x -> L - x")
     bases = [_parity_basis(perm, sign, parity) for parity in (1.0, -1.0)]
-    workers = min(2, _NUMPY_BLAS.scipy_openblas_get_num_threads64_())
-    saved = _set_blas_threads([1, 1])
+    workers = min(2, _SCIPY_BLAS.scipy_openblas_get_num_threads())
+    saved = _SCIPY_BLAS.openblas_set_num_threads_local(1)
     try:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_half_spectrum, gen, q) for q in bases]
         halves = [f.result() for f in futures]
     finally:
-        _set_blas_threads(saved)
+        _SCIPY_BLAS.openblas_set_num_threads_local(saved)
     vals = np.concatenate([v for v, _ in halves])
     vals = vals[np.lexsort((vals.real, vals.imag, np.abs(vals.imag)))]
     return SpectrumReport(
@@ -266,7 +261,7 @@ class ModeRefinement:
 def refine_modes(gen: Generator, seeds) -> ModeRefinement:
     """Eigenvalues of the generator near each seed, by nonlinear inverse iteration on T(z).
 
-    T(z) has the history ladder condensed out (discretize.CondensedFront),
+    T(z) has the history ladder condensed out (Generator.front_operator),
     so every solve is front-sized and the ladder's transport cluster never
     enters.  Per seed: 4 steps of plain inverse iteration with T(seed) from
     a fixed start vector, then (Ruhe, SIAM J. Numer. Anal. 10, 1973) solve
@@ -274,13 +269,12 @@ def refine_modes(gen: Generator, seeds) -> ModeRefinement:
     the update is at most REFINE_TOL * max(1, |z|).  A seed short of that
     after REFINE_MAX_ITER steps returns its last iterate, not converged.
     """
-    front = CondensedFront(gen)
-    start = np.random.default_rng(0).standard_normal(front.n_front).astype(complex)
+    start = np.random.default_rng(0).standard_normal(gen.n_front).astype(complex)
     seeds = np.asarray(seeds, dtype=complex).ravel()
     modes, residuals, iterations = seeds.copy(), np.empty(seeds.size), np.zeros(seeds.size, int)
     converged, duplicate_of = np.zeros(seeds.size, bool), np.full(seeds.size, -1)
     for j, z in enumerate(seeds):
-        t, t_prime = front.at(z)
+        t, t_prime = gen.front_operator(z)
         lu, x = splu(t.tocsc()), start
         for _ in range(4):
             x = lu.solve(x)
@@ -289,7 +283,7 @@ def refine_modes(gen: Generator, seeds) -> ModeRefinement:
             u = lu.solve(t_prime @ x)
             step = 1.0 / np.vdot(x, u)
             z, x = z - step, u / np.linalg.norm(u)
-            t, t_prime = front.at(z)
+            t, t_prime = gen.front_operator(z)
             converged[j] = abs(step) <= REFINE_TOL * max(1.0, abs(z))
             if converged[j] or not np.isfinite(z):
                 break
@@ -413,7 +407,6 @@ def resolvent_scan(gen: Generator, lam: np.ndarray, max_iter: int = 400) -> Reso
             f"requested frequency {lam.max():.6g} exceeds the grid resolution cap {cap:.6g}"
         )
     r = energy_cholesky(gen)
-    front = CondensedFront(gen)
     a, b = gen.A, gen.B
     n = gen.dim
     rng = np.random.default_rng(1234)
@@ -423,7 +416,7 @@ def resolvent_scan(gen: Generator, lam: np.ndarray, max_iter: int = 400) -> Reso
     iters = np.empty(lam.size, dtype=int)
     converged = np.zeros(lam.size, dtype=bool)
     for j, lv in enumerate(lam):
-        c = ShiftedSolver(front, 1j * lv, splu)
+        c = ShiftedSolver(gen, 1j * lv, splu)
         x = x0.copy()
         x /= np.sqrt(abs(np.vdot(x, b @ x)))
         sig2_old = np.inf

@@ -229,6 +229,9 @@ class TestCliExitCodes:
         # not a key: the history truncation tolerance is fixed
         {"disc.ns = 12": "disc.ns = 12\ndisc.trunc_tol = 1e-4"},
         {"kernel.a = 0.5": "kernel.a = 2"},
+        # both runners whose verdicts read the regime assemble before any verdict, which refuses the kernel
+        {"experiment = simulate": "experiment = resolvent", "kernel.a = 0.5": "kernel.a = 2"},
+        {"experiment = simulate": "experiment = full-report", "kernel.a = 0.5": "kernel.a = 2"},
         # products of a subnormal amplitude underflow: 0/0 quadrature weights
         {"kernel.a = 0.5": "kernel.a = 5e-324"},
         {"experiment = simulate": "experiment = full-report\nspec.lambda_min = 1000"},
@@ -250,7 +253,8 @@ class TestCliExitCodes:
         # metric of the resolvent is undefined although sparse LU factors B
         {"experiment = simulate": "experiment = resolvent", **DNND_THERMAL_POLY1},
         {"experiment = simulate": "experiment = full-report", **DNND_THERMAL_POLY1},
-    ], ids=["nx", "trunc_tol", "inadmissible_kernel", "subnormal_kernel", "full_report_resolvent_window",
+    ], ids=["nx", "trunc_tol", "inadmissible_kernel", "resolvent_inadmissible_kernel",
+            "full_report_inadmissible_kernel", "subnormal_kernel", "full_report_resolvent_window",
             "full_report_dense_cap", "resolvent_dense_cap", "resolvent_too_few_anchors",
             "full_report_too_few_anchors", "resolvent_narrow_anchor_span",
             "characteristic_equal_speeds", "resolvent_semidefinite_energy",

@@ -11,7 +11,6 @@ from bresselab.kernel import KernelSpec, evaluate, laplace, total_mass
 from bresselab.model import BoundaryCondition, PhysicalParams
 from bresselab.discretize import (
     SLICE_BLOCK,
-    CondensedFront,
     Generator,
     ShiftedSolver,
     SliceSolver,
@@ -337,7 +336,8 @@ class TestLadderCoupling:
     def test_no_memory_has_no_ladder(self):
         gen = small_generator(kernel=KernelSpec(0.0, 1.0))
         assert "eta" not in gen.layout
-        assert gen.slice_force is None and gen.slice_inject is None
+        n_psi = gen.layout["dpsi"].size
+        assert gen.slice_force.shape == (n_psi, 0) and gen.slice_inject.shape == (0, n_psi)
 
 
 SHIFTS = {"0.3+7i": 0.3 + 7j, "-0.2+2i": -0.2 + 2j, "2/dt": 2.0 / 0.05}
@@ -369,7 +369,7 @@ class TestCondensedFront:
         want = np.linalg.solve(c.conj().T if adjoint else c, r)
         # the time step's real shift is also solved forward through the stepper's band factor
         for factor in (splu,) if np.iscomplex(z) or adjoint else (splu, BandLU):
-            got = ShiftedSolver(CondensedFront(gen), z, factor).solve(r, adjoint=adjoint)
+            got = ShiftedSolver(gen, z, factor).solve(r, adjoint=adjoint)
             err = np.linalg.norm(got - want) / np.linalg.norm(want)
             assert err <= 1e-12, (
                 f"{bc} nx={nx} ns={ns} a={a} z={z} adjoint={adjoint} {factor.__name__}: off by {err:.3e}"
@@ -383,8 +383,7 @@ class TestCondensedFront:
         # node order no entry of T(2/dt) lies more than 13 off the diagonal
         kernel = KernelSpec(a, 1.0)
         gen = variant_generator(bc, kernel, build_spatial_grid(1.0, nx), build_memory_grid(kernel, ns=12))
-        front = CondensedFront(gen)
-        t = front.at(2.0 / 0.05)[0].tocoo()
+        t = gen.front_operator(2.0 / 0.05)[0].tocoo()
         assert np.max(np.abs(t.row - t.col)) <= 13
 
     @pytest.mark.parametrize("bc", ["ddd", "dndd"])
@@ -392,14 +391,15 @@ class TestCondensedFront:
         # sigma(z) = w^T L(z)^-1 1 from a dense L(z) over three slice blocks,
         # and T'(z) against a central difference of T
         gen = small_generator(bc, params=ALL_ONES if bc == "ddd" else THERMAL, nx=6, ns=2 * SLICE_BLOCK + 5)
-        front = CondensedFront(gen)
-        w, ds = gen.slice_weights, gen.mgrid.ds
+        w, ds, nf, dpsi = gen.slice_weights, gen.mgrid.ds, gen.n_front, gen.layout["dpsi"]
         z = -0.2 + 2j
         lz = (z + 1.0 / ds) * np.eye(w.size) - np.eye(w.size, k=-1) / ds
         sigma = w @ np.linalg.solve(lz, np.ones(w.size))
-        t, t_prime = (m.toarray() for m in front.at(z))
-        want = z * np.eye(front.n_front) - front.a_ff.toarray() - sigma * front.fj.toarray()
+        fj = np.zeros((nf, nf))
+        fj[np.ix_(dpsi, dpsi)] = (gen.slice_force @ gen.slice_inject).toarray()
+        t, t_prime = (m.toarray() for m in gen.front_operator(z))
+        want = z * np.eye(nf) - gen.A[:nf, :nf].toarray() - sigma * fj
         assert np.abs(t - want).max() <= 1e-13 * np.abs(want).max()
         step = 1e-5
-        slope = (front.at(z + step)[0] - front.at(z - step)[0]).toarray() / (2.0 * step)
+        slope = (gen.front_operator(z + step)[0] - gen.front_operator(z - step)[0]).toarray() / (2.0 * step)
         assert np.abs(t_prime - slope).max() <= 1e-7 * np.abs(t_prime).max()

@@ -84,29 +84,27 @@ class TestComputeSpectrum:
         assert np.max(np.abs(rep.eigenvalues.real)) < 1e-10
 
     def test_halves_run_on_one_blas_thread_and_restore_the_count(self, monkeypatch):
-        # the bundled OpenBLAS sets its thread count for the whole process,
-        # so the solve pins it to 1 around its worker pool and must give the
-        # caller's count back afterwards
-        counts = (spectra._NUMPY_BLAS.scipy_openblas_get_num_threads64_,
-                  spectra._SCIPY_BLAS.scipy_openblas_get_num_threads)
+        # scipy's bundled OpenBLAS, which runs every LAPACK call of a half,
+        # sets its thread count for the whole process, so the solve pins it
+        # to 1 around its worker pool and must give the caller's count back
+        count = spectra._SCIPY_BLAS.scipy_openblas_get_num_threads
         seen = []
         eigvals = spectra._eigvals_inplace
 
         def counted(a):
-            seen.append([count() for count in counts])
+            seen.append(count())
             return eigvals(a)
 
         monkeypatch.setattr(spectra, "_eigvals_inplace", counted)
-        before = [count() for count in counts]
+        before = count()
         compute_spectrum(make_gen())
-        assert [count() for count in counts] == before
-        assert seen == [[1, 1], [1, 1]]
+        assert count() == before
+        assert seen == [1, 1]
 
     def test_failed_dgeev_raises_and_restores_the_count(self, monkeypatch):
         # a nonzero info from LAPACK must surface as an error, never as
         # the wr + i wi left in the output arrays
-        counts = (spectra._NUMPY_BLAS.scipy_openblas_get_num_threads64_,
-                  spectra._SCIPY_BLAS.scipy_openblas_get_num_threads)
+        count = spectra._SCIPY_BLAS.scipy_openblas_get_num_threads
         calls = []
 
         def failing(jobvl, jobvr, n, a, lda, wr, wi, vl, ldvl, vr, ldvr, work, lwork, info, *lengths):
@@ -117,10 +115,10 @@ class TestComputeSpectrum:
                 wr[:], wi[:], info[0] = 0.0, 0.0, 3
 
         monkeypatch.setattr(spectra, "_DGEEV", failing)
-        before = [count() for count in counts]
+        before = count()
         with pytest.raises(la.LinAlgError, match="info = 3"):
             compute_spectrum(make_gen())
-        assert [count() for count in counts] == before
+        assert count() == before
         # each half queried the workspace, then solved with what it was told
         assert sorted(c > 0 for c in calls) == [False, False, True, True]
 
