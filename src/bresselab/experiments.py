@@ -23,6 +23,7 @@ from .discretize import (
     assemble_timoshenko_generator,
     build_memory_grid,
     build_spatial_grid,
+    exact_memory_grid,
 )
 from .kernel import evaluate, total_mass, validate_hypotheses
 from .model import Regime, RegimeReport, classify_regime
@@ -83,7 +84,10 @@ class _RunContext:
     """What one run builds, each piece at most once and only when a runner asks.
 
     Between sections it holds sparse generators and eigenvalue arrays,
-    never dense matrices or LU factors.
+    never dense matrices or LU factors.  The same variant is assembled
+    on up to two history grids: the disc.ns-slice ladder, which the time
+    stepper and the resolvent read, and exact memory (one slice,
+    transfer g0/(z + c)), which the spectrum section reads.
     """
 
     def __init__(self, cfg: ExperimentConfig, rep: _Report) -> None:
@@ -149,28 +153,56 @@ class _RunContext:
         return ratio
 
     @cached_property
-    def generator(self):
-        """The run's one assembly, which every section reads: two-field on the straight elastic beam.
+    def two_field(self) -> bool:
+        """Whether the run assembles the two-field straight-beam variant; says so on first use.
 
-        There the longitudinal motion decouples undamped, so the
-        three-field generator would add modes on the axis to round-off
-        and a conserved share to the energy.
+        On the straight elastic beam the longitudinal motion decouples
+        undamped, so the three-field generator would add modes on the
+        axis to round-off and a conserved share to the energy.
         """
-        cfg = self.cfg
-        if cfg.params.timoshenko and not cfg.params.thermal:
+        params = self.cfg.params
+        if params.timoshenko and not params.thermal:
             self.rep.say("generator: two-field straight-beam assembly (longitudinal modes decoupled)")
-            return self._build(assemble_timoshenko_generator, cfg.params, cfg.kernel, self.grid, self.mgrid)
-        return self._build(assemble_generator, cfg.params, cfg.kernel, cfg.bc, self.grid, self.mgrid)
+            return True
+        return False
+
+    def _assemble(self, mgrid):
+        """The run's variant on the history grid mgrid: two-field on the straight elastic beam."""
+        cfg = self.cfg
+        if self.two_field:
+            return self._build(assemble_timoshenko_generator, cfg.params, cfg.kernel, self.grid, mgrid)
+        return self._build(assemble_generator, cfg.params, cfg.kernel, cfg.bc, self.grid, mgrid)
+
+    @cached_property
+    def generator(self):
+        """The run's assembly on the disc.ns-slice history ladder: simulate and resolvent read it."""
+        return self._assemble(self.mgrid)
+
+    @cached_property
+    def exact_generator(self):
+        """The same variant on exact memory (exact_memory_grid): the spectrum section reads it.
+
+        Its one history slice does not depend on disc.ns.
+        """
+        return self._assemble(exact_memory_grid(self.cfg.kernel))
+
+    def _dense_spectrum(self, gen, knobs: str) -> SpectrumReport:
+        """Dense spectrum of gen; past the dense eigensolver cap, a config error naming knobs."""
+        if gen.dim > DENSE_DIM_CAP:
+            raise ConfigError(
+                f"dense spectrum needs dimension <= {DENSE_DIM_CAP}, got {gen.dim}; reduce {knobs}"
+            )
+        return compute_spectrum(gen)
 
     @cached_property
     def spectrum(self) -> SpectrumReport:
-        """Dense spectrum of the generator; a config error past the dense eigensolver cap."""
-        dim = self.generator.dim
-        if dim > DENSE_DIM_CAP:
-            raise ConfigError(
-                f"dense spectrum needs dimension <= {DENSE_DIM_CAP}, got {dim}; reduce disc.nx/disc.ns"
-            )
-        return compute_spectrum(self.generator)
+        """Dense spectrum on exact memory, whose dimension disc.nx alone sets."""
+        return self._dense_spectrum(self.exact_generator, "disc.nx")
+
+    @cached_property
+    def ladder_spectrum(self) -> SpectrumReport:
+        """Dense spectrum of the ladder generator, which the resolvent anchors come from."""
+        return self._dense_spectrum(self.generator, "disc.nx/disc.ns")
 
     @cached_property
     def resolvent_plan(self) -> tuple[float, float, float, np.ndarray, float]:
@@ -182,7 +214,7 @@ class _RunContext:
         the top of the trusted frequency window (past it the stencils
         suppress the damping the envelope measures).  A config error when
         the energy Gram matrix is only semidefinite (spectra.energy_cholesky),
-        the window is empty, the spectrum is past the dense cap, or the
+        the window is empty, the ladder spectrum is past the dense cap, or the
         kept anchors are fewer than 4 or span less than MIN_ANCHOR_SPAN.
         """
         cfg = self.cfg
@@ -197,7 +229,7 @@ class _RunContext:
                 "refine disc.nx or lower spec.lambda_min"
             )
         top = min(hi, abscissa_window(gen))
-        anchors = envelope_anchors(self.spectrum.eigenvalues, lo, hi)
+        anchors = envelope_anchors(self.ladder_spectrum.eigenvalues, lo, hi)
         anchors = anchors[anchors <= top]
         if anchors.size < 4 or anchors.max() / anchors.min() < MIN_ANCHOR_SPAN:
             raise ConfigError(
@@ -329,7 +361,7 @@ def _halves_text(report: SpectrumReport) -> str:
 
 def run_spectrum(ctx: _RunContext, out_dir: Path) -> list[Path]:
     cfg, rep = ctx.cfg, ctx.rep
-    gen = ctx.generator
+    gen = ctx.exact_generator
     report = ctx.spectrum
     tags = [""] * len(report.eigenvalues)
     refusal = branch_refusal(cfg.params)
@@ -355,7 +387,8 @@ def run_spectrum(ctx: _RunContext, out_dir: Path) -> list[Path]:
         f"windowed abscissa: {_f(windowed_abscissa(gen, report.eigenvalues))} "
         f"over |Im| <= {_f(win)} (raw whole-matrix {_f(report.max_real_part)})"
     )
-    ctx.memory_error  # first use writes the w0/g0 line
+    if cfg.kernel.a > 0.0:
+        rep.say("memory: exact, one history slice with transfer g0/(z + c); disc.ns is not read")
     return [spath]
 
 

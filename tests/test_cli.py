@@ -26,11 +26,12 @@ from bresselab.discretize import (
     build_memory_grid,
     build_spatial_grid,
     energy,
+    exact_memory_grid,
 )
 from bresselab.experiments import run_experiment
 from bresselab.model import PhysicalParams
 from bresselab.simulate import initial_state
-from bresselab.spectra import resolvent_scan
+from bresselab.spectra import compute_spectrum, resolvent_scan
 
 GOOD = """\
 # equal-speed elastic benchmark
@@ -235,7 +236,9 @@ class TestCliExitCodes:
         # products of a subnormal amplitude underflow: 0/0 quadrature weights
         {"kernel.a = 0.5": "kernel.a = 5e-324"},
         {"experiment = simulate": "experiment = full-report\nspec.lambda_min = 1000"},
-        # dimension 10800, past the dense eigensolver cap
+        # exact memory at nx = 1200: dimension 8400, past the dense eigensolver cap
+        {"experiment = simulate": "experiment = spectrum", "disc.nx = 10": "disc.nx = 1200"},
+        # ladder dimension 10800, past the dense eigensolver cap
         {"experiment = simulate": "experiment = full-report",
          "disc.nx = 10": "disc.nx = 200", "disc.ns = 12": "disc.ns = 48"},
         {"experiment = simulate": "experiment = resolvent",
@@ -255,7 +258,7 @@ class TestCliExitCodes:
         {"experiment = simulate": "experiment = full-report", **DNND_THERMAL_POLY1},
     ], ids=["nx", "trunc_tol", "inadmissible_kernel", "resolvent_inadmissible_kernel",
             "full_report_inadmissible_kernel", "subnormal_kernel", "full_report_resolvent_window",
-            "full_report_dense_cap", "resolvent_dense_cap", "resolvent_too_few_anchors",
+            "spectrum_dense_cap", "full_report_dense_cap", "resolvent_dense_cap", "resolvent_too_few_anchors",
             "full_report_too_few_anchors", "resolvent_narrow_anchor_span",
             "characteristic_equal_speeds", "resolvent_semidefinite_energy",
             "full_report_semidefinite_energy"])
@@ -274,6 +277,21 @@ class TestCliExitCodes:
         assert err.startswith("config error: ") and err.count("\n") == 1, err
         # the config is refused before any section writes an artifact
         assert list(out.glob("*")) == []
+
+    @pytest.mark.parametrize("experiment,nx,ns,dim,knobs", [
+        ("spectrum", 1200, 12, 8400, "disc.nx"),
+        ("resolvent", 200, 48, 10800, "disc.nx/disc.ns"),
+    ])
+    def test_dense_cap_refusal_names_the_keys_that_set_the_dimension(
+            self, tmp_path, capsys, experiment, nx, ns, dim, knobs):
+        # exact memory has one history slice whatever disc.ns says; the
+        # resolvent's anchors come from the disc.ns-slice ladder
+        text = (GOOD.replace("experiment = simulate", f"experiment = {experiment}")
+                .replace("disc.nx = 10", f"disc.nx = {nx}").replace("disc.ns = 12", f"disc.ns = {ns}"))
+        assert main([str(write(tmp_path, text)), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: dense spectrum needs dimension <= 8000, got {dim}; reduce {knobs}\n"
+        )
 
     def test_thermal_assembly_with_zero_tau_exits_two(self, tmp_path, capsys):
         # tau = 0 (Fourier heat) parses and classifies, but is not assembled
@@ -374,15 +392,17 @@ class TestArtifacts:
 
         def counted(make):
             def wrapper(*args):
-                assembled.append(make.__name__)
+                assembled.append((make.__name__, args[-1].ns))
                 return make(*args)
             return wrapper
 
         for name in ("assemble_generator", "assemble_timoshenko_generator"):
             monkeypatch.setattr(experiments, name, counted(getattr(experiments, name)))
         result = run_experiment(cfg, tmp_path / "out")
-        # one generator serves every section: two-field on the straight elastic beam
-        assert assembled == ["assemble_timoshenko_generator" if ell == 0 else "assemble_generator"]
+        # the ladder (disc.ns = 12), then exact memory for the spectrum
+        # section; both two-field on the straight elastic beam
+        name = "assemble_timoshenko_generator" if ell == 0 else "assemble_generator"
+        assert assembled == [(name, 12), (name, 1)]
         names = {p.name for p in result.files}
         sections = ["simulate", "spectrum", "resolvent"]
         want = {"energy.csv", "fits.csv", "spectrum.csv", "resolvent.csv", "report.txt"}
@@ -503,22 +523,61 @@ class TestArtifacts:
 
     @pytest.mark.parametrize("experiment", ["spectrum", "resolvent", "full-report", "simulate"])
     def test_frequency_sections_print_the_ladder_memory_error(self, tmp_path, experiment):
+        # each frequency section says which memory it solves, in one untagged
+        # line: the spectrum exact memory, the resolvent the ladder with its
         # w0/g0 = W_0 g(0)/g0, the weight of the s = 0 node the state does
-        # not carry: one untagged line per report, from the spectrum or the
-        # resolvent section, none from simulate
+        # not carry; simulate prints neither
         text = GOOD.replace("experiment = simulate", f"experiment = {experiment}")
         text = text.replace("params.k2 = 1", "params.k2 = 2").replace("disc.ns = 12", "disc.ns = 32")
         text += "spec.lambda_min = 3\nspec.lambda_max = 12\n"
         cfg = parse_config(write(tmp_path, text))
         lines = [line for line in run_experiment(cfg, tmp_path / "out").report_lines
-                 if line.startswith("memory ladder:")]
-        if experiment == "simulate":
-            assert lines == []
-            return
+                 if line.startswith(("memory:", "memory ladder:"))]
         mgrid = build_memory_grid(cfg.kernel, cfg.ns)
         want = mgrid.weights[0] * cfg.kernel.a / (cfg.kernel.a / cfg.kernel.c)
-        assert lines == [f"memory ladder: ns = 32, high-frequency transfer error w0/g0 = {want:.4f}"]
         assert f"{want:.4f}" == "0.2397"
+        exact = "memory: exact, one history slice with transfer g0/(z + c); disc.ns is not read"
+        ladder = f"memory ladder: ns = 32, high-frequency transfer error w0/g0 = {want:.4f}"
+        assert lines == {"spectrum": [exact], "resolvent": [ladder], "full-report": [exact, ladder],
+                         "simulate": []}[experiment]
+
+    def test_spectrum_does_not_read_disc_ns(self, tmp_path, monkeypatch):
+        # a spectrum run assembles exact memory and no ladder
+        slices = []
+
+        def counted(*args):
+            slices.append(args[-1].ns)
+            return assemble_generator(*args)
+
+        monkeypatch.setattr(experiments, "assemble_generator", counted)
+        text = GOOD.replace("experiment = simulate", "experiment = spectrum")
+        for ns in (16, 32):
+            cfg = parse_config(write(tmp_path, text.replace("disc.ns = 12", f"disc.ns = {ns}")))
+            run_experiment(cfg, tmp_path / f"ns{ns}")
+        assert (tmp_path / "ns16" / "spectrum.csv").read_bytes() == (tmp_path / "ns32" / "spectrum.csv").read_bytes()
+        assert slices == [1, 1]
+
+    @pytest.mark.parametrize("changes", [
+        {},
+        {"disc.ns = 12": "disc.ns = 12\nparams.thermal = true\nparams.rho3 = 1\n"
+                         "params.delta = 1\nparams.tau = 2\nparams.beta = 1\nbc = dddd"},
+        {"params.ell = 1.0": "params.ell = 0", "params.k2 = 1": "params.k2 = 2"},
+    ], ids=["curved_ddd", "thermal_dddd", "straight_two_field"])
+    def test_spectrum_solves_the_exact_memory_generator(self, tmp_path, changes):
+        text = GOOD.replace("experiment = simulate", "experiment = spectrum")
+        for old, new in changes.items():
+            text = text.replace(old, new)
+        cfg = parse_config(write(tmp_path, text))
+        run_experiment(cfg, tmp_path / "out")
+        rows = (tmp_path / "out" / "spectrum.csv").read_text().splitlines()[1:]
+        grid, mgrid = build_spatial_grid(cfg.params.length, cfg.nx), exact_memory_grid(cfg.kernel)
+        if cfg.params.timoshenko and not cfg.params.thermal:
+            gen = assemble_timoshenko_generator(cfg.params, cfg.kernel, grid, mgrid)
+        else:
+            gen = assemble_generator(cfg.params, cfg.kernel, cfg.bc, grid, mgrid)
+        assert gen.include_w == (cfg.params.ell != 0)
+        want = [f"{v.real:.12e},{v.imag:.12e}" for v in compute_spectrum(gen).eigenvalues]
+        assert [row.rsplit(",", 1)[0] for row in rows] == want
 
     def test_spectrum_reports_windowed_abscissa(self, tmp_path):
         text = GOOD.replace("experiment = simulate", "experiment = spectrum")
