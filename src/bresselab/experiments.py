@@ -3,8 +3,9 @@
 Every report line that states a prediction also carries the measured
 counterpart and a PASS / FAIL / UNCOVERED tag, so a report is readable
 as a self-contained record of what was claimed and what was seen.
-Numbers are written with 12 significant digits and all computations are
-seeded, so reruns reproduce the artifacts byte for byte.
+Every CSV goes through _write_csv, which writes its floats as %.12e (13
+significant digits); report lines keep their own widths.  All
+computations are seeded, so reruns reproduce the artifacts byte for byte.
 """
 
 from __future__ import annotations
@@ -45,6 +46,17 @@ from .spectra import (
 
 def _f(x: float) -> str:
     return f"{x:.12e}"
+
+
+def _write_csv(path: Path, header: str, fmt: str, columns) -> Path:
+    """Write header, then one line per row of columns in the printf row format fmt.
+
+    All rows are formatted in one % pass; '%.12e' writes exactly what _f does.
+    """
+    rows = list(zip(*columns))
+    body = (fmt + "\n") * len(rows) % tuple(v for row in rows for v in row)
+    path.write_text(f"{header}\n{body}")
+    return path
 
 
 @dataclass
@@ -256,11 +268,10 @@ def run_simulate(ctx: _RunContext, out_dir: Path) -> list[Path]:
     u0 = initial_state(gen, cfg.ic, index=cfg.ic_index, seed=cfg.seed)
     trace = simulate(gen, u0, T=cfg.T, dt=cfg.dt, stride=cfg.stride)
 
-    epath = out_dir / "energy.csv"
-    with open(epath, "w") as fh:
-        fh.write("t,E,mem_rate,heat_rate\n")
-        for t, e, m, h in trace.to_rows():
-            fh.write(f"{_f(t)},{_f(e)},{_f(m)},{_f(h)}\n")
+    files = [_write_csv(
+        out_dir / "energy.csv", "t,E,mem_rate,heat_rate", "%.12e,%.12e,%.12e,%.12e",
+        (trace.t, trace.E, trace.mem_rate, trace.heat_rate),
+    )]
 
     e0 = trace.E[0]
     increases = np.diff(trace.E)
@@ -272,7 +283,6 @@ def run_simulate(ctx: _RunContext, out_dir: Path) -> list[Path]:
         worst <= 1e-10 * max(e0, 1e-300),
     )
 
-    fits_rows = []
     fe = fp = skipped = None
     nonpositive = np.flatnonzero(trace.E <= 0.0)
     if cfg.T < 10.0:
@@ -287,8 +297,12 @@ def run_simulate(ctx: _RunContext, out_dir: Path) -> list[Path]:
     if skipped:
         rep.say(f"fit: skipped ({skipped})")
     else:
-        fits_rows.append(("exponential", fe.amplitude, fe.rate, fe.r2, fe.window))
-        fits_rows.append(("polynomial", fp.amplitude, fp.rate, fp.r2, fp.window))
+        files.append(_write_csv(
+            out_dir / "fits.csv", "config_id,model,param1,param2,r2,window_t0,window_t1",
+            "%s,%s,%.12e,%.12e,%.12f,%.12e,%.12e",
+            zip(*[(cfg.config_id, fit.model, fit.amplitude, fit.rate, fit.r2, *fit.window)
+                  for fit in (fe, fp)]),
+        ))
         rep.say(
             f"fit[exponential]: M = {_f(fe.amplitude)} eps = {_f(fe.rate)} r2 = {fe.r2:.6f}"
         )
@@ -331,18 +345,6 @@ def run_simulate(ctx: _RunContext, out_dir: Path) -> list[Path]:
                 "decay law",
                 f"no prediction; trace classifies as {verdict.label}",
             )
-
-    files = [epath]
-    if fits_rows:
-        fpath = out_dir / "fits.csv"
-        with open(fpath, "w") as fh:
-            fh.write("config_id,model,param1,param2,r2,window_t0,window_t1\n")
-            for model, p1, p2, r2, window in fits_rows:
-                fh.write(
-                    f"{cfg.config_id},{model},{_f(p1)},{_f(p2)},{r2:.12f},"
-                    f"{_f(window[0])},{_f(window[1])}\n"
-                )
-        files.append(fpath)
     return files
 
 
@@ -370,11 +372,8 @@ def run_spectrum(ctx: _RunContext, out_dir: Path) -> list[Path]:
     elif not gen.include_w:  # the straight elastic beam: say why its branches go untagged
         rep.say(f"branch tags unavailable: {refusal}")
 
-    spath = out_dir / "spectrum.csv"
-    with open(spath, "w") as fh:
-        fh.write("re,im,branch\n")
-        for v, tag in zip(report.eigenvalues, tags):
-            fh.write(f"{_f(v.real)},{_f(v.imag)},{tag}\n")
+    spath = _write_csv(out_dir / "spectrum.csv", "re,im,branch", "%.12e,%.12e,%s",
+                       (report.eigenvalues.real, report.eigenvalues.imag, tags))
 
     rep.check(
         "spectral dissipativity",
@@ -397,11 +396,8 @@ def run_resolvent(ctx: _RunContext, out_dir: Path) -> list[Path]:
     report = ctx.regime_report
     lo, hi, cap, anchors, top = ctx.resolvent_plan
     scan = resolvent_scan(ctx.generator, anchors)
-    rpath = out_dir / "resolvent.csv"
-    with open(rpath, "w") as fh:
-        fh.write("lambda,inv_sigma_min\n")
-        for lv, sv in zip(scan.lam, scan.inv_sigma_min):
-            fh.write(f"{_f(lv)},{_f(sv)}\n")
+    rpath = _write_csv(out_dir / "resolvent.csv", "lambda,inv_sigma_min", "%.12e,%.12e",
+                       (scan.lam, scan.inv_sigma_min))
 
     fit = fit_growth_exponent(scan)
     rep.say(
@@ -433,7 +429,6 @@ def run_characteristic(ctx: _RunContext, out_dir: Path) -> list[Path]:
         raise ConfigError(f"characteristic experiment {refusal}")
     n_values = range(10, 31)
     rows = []
-    files = []
     for branch in (0, 1):
         roots = track_branch(cfg.params, cfg.kernel, n_values, branch)
         rows.extend(roots)
@@ -455,16 +450,12 @@ def run_characteristic(ctx: _RunContext, out_dir: Path) -> list[Path]:
             trend.monotone_ok,
         )
 
-    bpath = out_dir / "branches.csv"
-    with open(bpath, "w") as fh:
-        fh.write("branch,n,seed_re,seed_im,root_re,root_im,residual,iters\n")
-        for r in rows:
-            fh.write(
-                f"{r.branch},{r.n},{_f(r.seed.real)},{_f(r.seed.imag)},"
-                f"{_f(r.root.real)},{_f(r.root.imag)},{r.residual:.6e},{r.iterations}\n"
-            )
-    files.append(bpath)
-    return files
+    return [_write_csv(
+        out_dir / "branches.csv", "branch,n,seed_re,seed_im,root_re,root_im,residual,iters",
+        "%d,%d,%.12e,%.12e,%.12e,%.12e,%.6e,%d",
+        zip(*[(r.branch, r.n, r.seed.real, r.seed.imag, r.root.real, r.root.imag,
+               r.residual, r.iterations) for r in rows]),
+    )]
 
 
 def run_full_report(ctx: _RunContext, out_dir: Path) -> list[Path]:

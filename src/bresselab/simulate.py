@@ -167,10 +167,6 @@ class EnergyTrace:
     final_state: np.ndarray
     dt: float
 
-    def to_rows(self):
-        for k in range(len(self.t)):
-            yield self.t[k], self.E[k], self.mem_rate[k], self.heat_rate[k]
-
 
 def simulate(
     gen: Generator,

@@ -13,6 +13,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bresselab
@@ -501,8 +502,8 @@ class TestArtifacts:
     @pytest.mark.parametrize("config", ["spectrum", "straight_full_report"])
     def test_artifacts_do_not_depend_on_thread_count(self, tmp_path, config):
         # every dense operation runs on one BLAS thread whatever --threads
-        # says, so the spectrum and the resolvent anchors taken from it
-        # come out byte for byte the same
+        # says, so the exact-memory spectrum and the resolvent anchors,
+        # taken from the ladder spectrum, come out byte for byte the same
         if config == "spectrum":
             text = GOOD.replace("experiment = simulate", "experiment = spectrum")
         else:
@@ -590,3 +591,41 @@ class TestArtifacts:
         assert dims and int(dims[1]) == int(dims[2]) + int(dims[3])
         spectrum = (tmp_path / "out" / "spectrum.csv").read_text().splitlines()
         assert spectrum[0] == "re,im,branch"
+
+
+class TestCsvWriter:
+    """experiments._write_csv against per-value f-strings, the oracle for its printf row formats."""
+
+    @staticmethod
+    def written(tmp_path, fmt, columns):
+        path = experiments._write_csv(tmp_path / "a.csv", "head", fmt, columns)
+        assert path == tmp_path / "a.csv"
+        lines = path.read_text().split("\n")
+        assert lines[0] == "head" and lines[-1] == ""
+        return lines[1:-1]
+
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    def test_e_format_writes_what_the_f_string_did(self, tmp_path, kind):
+        values = [kind(v) for v in (0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e300, -1e300)]
+        assert self.written(tmp_path, "%.12e", (values,)) == [f"{v:.12e}" for v in values]
+
+    @pytest.mark.parametrize("fmt,row,oracle", [
+        ("%.12e,%.12e,%.12e,%.12e", (0.05, 8.728123456789012, -0.0, 1.5e-7),
+         lambda t, e, m, h: f"{t:.12e},{e:.12e},{m:.12e},{h:.12e}"),
+        ("%s,%s,%.12e,%.12e,%.12f,%.12e,%.12e",
+         ("run", "exponential", 2.5, np.float64(0.0123), np.float64(0.9987654321234), 10.0, 100.0),
+         lambda c, m, p1, p2, r2, w0, w1: f"{c},{m},{p1:.12e},{p2:.12e},{r2:.12f},{w0:.12e},{w1:.12e}"),
+        ("%.12e,%.12e,%s", (np.float64(-2.2e-8), np.float64(31.4), ""),
+         lambda re, im, tag: f"{re:.12e},{im:.12e},{tag}"),
+        ("%.12e,%.12e,%s", (np.float64(-0.5), np.float64(-3.0), "1"),
+         lambda re, im, tag: f"{re:.12e},{im:.12e},{tag}"),
+        ("%.12e,%.12e", (np.float64(5.0), np.float64(1.25e3)), lambda lam, s: f"{lam:.12e},{s:.12e}"),
+        ("%d,%d,%.12e,%.12e,%.12e,%.12e,%.6e,%d", (1, 30, -0.25, 94.2, -0.2500001, 94.19, 3.2e-11, 4),
+         lambda b, n, sr, si, rr, ri, res, it: f"{b},{n},{sr:.12e},{si:.12e},{rr:.12e},{ri:.12e},{res:.6e},{it}"),
+    ], ids=["energy", "fits", "spectrum_untagged", "spectrum_tagged", "resolvent", "branches"])
+    def test_artifact_row_formats(self, tmp_path, fmt, row, oracle):
+        columns = [[v, v] for v in row]
+        assert self.written(tmp_path, fmt, columns) == [oracle(*row)] * 2
+
+    def test_no_rows_writes_the_header_alone(self, tmp_path):
+        assert self.written(tmp_path, "%.12e,%.12e", ([], [])) == []
